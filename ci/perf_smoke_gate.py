@@ -17,11 +17,12 @@ gate fails when any case's peak RSS grew by more than 15%.
 
 When the optional parallel-bench files are given, the gate also checks
 the scheduler skew ablation (abl_parallel_sessions --skew-only, DESIGN.md
-Sec. 16): the parallel_skew/*/static over parallel_skew/*/stealing
+Sec. 16): the parallel_skew/*/static over parallel_skew/*/intra
 wall-clock speedup must not shrink by more than 10% between base and
 head — the same within-run-ratio trick, so runner speed cancels out.
-A missing or skew-less base file skips that gate (the merge base may
-predate the skew section).
+A missing base file, or one without /intra skew records, skips that
+gate (the merge base may predate the skew section or its current
+settings).
 
 When a BENCH_pattern_head.json is given (the optional last argument),
 the gate also checks the MATCH load-shedding ablation (abl_pattern_shed,
@@ -70,20 +71,20 @@ def peak_rss(path):
 
 
 def skew_speedups(path):
-    """Maps skew case name -> static ns/op divided by stealing ns/op.
+    """Maps skew case name -> static ns/op divided by intra ns/op.
 
-    The ratio is the stealing-dispatch speedup over static sharding for
-    one skewed-tenant case; bigger is better, so the gate fails when it
-    shrinks.
+    The ratio is the intra-session morsel speedup over plain static
+    placement for one skewed-tenant case; bigger is better, so the gate
+    fails when it shrinks.
     """
     with open(path) as f:
         records = {r["name"]: r["ns_per_op"] for r in json.load(f)}
     speedups = {}
     for name, ns_per_op in records.items():
         if not (name.startswith("parallel_skew/")
-                and name.endswith("/stealing")):
+                and name.endswith("/intra")):
             continue
-        case = name[: -len("/stealing")]
+        case = name[: -len("/intra")]
         static = records.get(case + "/static")
         if static:
             speedups[case] = static / ns_per_op
@@ -91,21 +92,24 @@ def skew_speedups(path):
 
 
 def gate_skew(base_path, head_path):
-    """Returns skew cases whose stealing speedup shrank > 10%."""
+    """Returns skew cases whose intra speedup shrank > 10%."""
     if not os.path.exists(base_path) or not os.path.exists(head_path):
         print("parallel bench file(s) missing; skipping skew gate")
         return []
     base = skew_speedups(base_path)
     head = skew_speedups(head_path)
     if not base:
-        print("no parallel_skew records in base run; skipping skew gate")
+        print(
+            "no parallel_skew/*/intra records in base run; "
+            "skipping skew gate"
+        )
         return []
     failed = []
     for case, head_speedup in sorted(head.items()):
         base_speedup = base.get(case)
         if base_speedup is None:
             print(
-                f"{case}: new case, stealing speedup "
+                f"{case}: new case, intra speedup "
                 f"{head_speedup:.2f}x (no base)"
             )
             continue
@@ -115,7 +119,7 @@ def gate_skew(base_path, head_path):
             verdict = "REGRESSED"
             failed.append(case)
         print(
-            f"{case}: stealing speedup base {base_speedup:.2f}x -> head "
+            f"{case}: intra speedup base {base_speedup:.2f}x -> head "
             f"{head_speedup:.2f}x ({-regression:+.1%}) {verdict}"
         )
     return failed
@@ -230,7 +234,7 @@ def main(argv):
         if skew_failed:
             print(
                 f"FAIL: {len(skew_failed)} skew case(s) lost more than "
-                f"{REGRESSION_LIMIT:.0%} of their stealing speedup: "
+                f"{REGRESSION_LIMIT:.0%} of their intra speedup: "
                 + ", ".join(skew_failed)
             )
         if pattern_failed:

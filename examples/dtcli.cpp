@@ -33,12 +33,6 @@
 //   --workers=N         worker threads session execution is scheduled
 //                       across; 0 = serial (default). Per-query output
 //                       is byte-identical at any setting (DESIGN.md §11)
-//   --dispatch=static|least-loaded|stealing
-//                       how sessions map to workers (default static).
-//                       least-loaded re-homes a session when its queue
-//                       goes non-empty; stealing lets idle workers claim
-//                       any pending session. Output is byte-identical
-//                       across modes (DESIGN.md §16.1)
 //   --intra-session-threads=N
 //                       threads cooperating on one session's join /
 //                       aggregation kernels, including the session's
@@ -171,20 +165,6 @@ int main(int argc, char** argv) {
     } else if (ConsumeFlag(arg, "workers", &value)) {
       server_options.scheduler.worker_threads =
           static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (ConsumeFlag(arg, "dispatch", &value)) {
-      if (value == "static") {
-        server_options.scheduler.dispatch =
-            datatriage::engine::DispatchMode::kStatic;
-      } else if (value == "least-loaded") {
-        server_options.scheduler.dispatch =
-            datatriage::engine::DispatchMode::kLeastLoaded;
-      } else if (value == "stealing") {
-        server_options.scheduler.dispatch =
-            datatriage::engine::DispatchMode::kStealing;
-      } else {
-        return Fail("unknown dispatch mode '" + value +
-                    "' (static|least-loaded|stealing)");
-      }
     } else if (ConsumeFlag(arg, "intra-session-threads", &value)) {
       server_options.scheduler.intra_session_threads =
           static_cast<size_t>(std::atoll(value.c_str()));

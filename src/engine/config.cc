@@ -38,18 +38,6 @@ Status EngineConfig::Validate() const {
   return Status::OK();
 }
 
-std::string_view DispatchModeToString(DispatchMode mode) {
-  switch (mode) {
-    case DispatchMode::kStatic:
-      return "static";
-    case DispatchMode::kLeastLoaded:
-      return "least-loaded";
-    case DispatchMode::kStealing:
-      return "stealing";
-  }
-  return "?";
-}
-
 Status SchedulerOptions::Validate() const {
   if (worker_threads > 256) {
     return Status::InvalidArgument(
@@ -70,34 +58,8 @@ Status SchedulerOptions::Validate() const {
   return Status::OK();
 }
 
-// The deprecated worker_threads shim is read (only) here and in
-// EffectiveScheduler, by design: every other consumer goes through
-// EffectiveScheduler, so the deprecation warning fires exactly at the
-// call sites that still assign the legacy field.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-SchedulerOptions StreamServerOptions::EffectiveScheduler() const {
-  SchedulerOptions effective = scheduler;
-  if (worker_threads != 0 && effective.worker_threads == 0) {
-    effective.worker_threads = worker_threads;
-  }
-  return effective;
-}
-
 Status StreamServerOptions::Validate() const {
-  if (task_queue_capacity == 0) {
-    return Status::InvalidArgument(
-        "StreamServerOptions: task_queue_capacity must be positive (a "
-        "zero-slot task queue could never hand a worker any work)");
-  }
-  if (worker_threads != 0 && scheduler.worker_threads != 0) {
-    return Status::InvalidArgument(
-        "StreamServerOptions: both the deprecated worker_threads shim "
-        "and scheduler.worker_threads are set; set exactly one "
-        "(migrate to scheduler.worker_threads)");
-  }
-  DT_RETURN_IF_ERROR(EffectiveScheduler().Validate());
+  DT_RETURN_IF_ERROR(scheduler.Validate());
   if (memory_budget_bytes != 0 &&
       memory_budget_bytes < EngineConfig::kMinMemoryBudgetBytes) {
     return Status::InvalidArgument(
@@ -107,7 +69,5 @@ Status StreamServerOptions::Validate() const {
   }
   return Status::OK();
 }
-
-#pragma GCC diagnostic pop
 
 }  // namespace datatriage::engine

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "src/common/status.h"
 #include "src/engine/cost_model.h"
@@ -64,30 +63,10 @@ struct EngineConfig {
   Status Validate() const;
 };
 
-/// How the server's TaskScheduler assigns per-session task queues to
-/// pool workers (DESIGN.md §16). Every mode produces byte-identical
-/// per-session output: a session's tasks live in one FIFO ring and are
-/// consumed in feed order by exactly one worker at a time (a claim
-/// protocol serializes consumers), so placement can only change *when*
-/// a session runs, never *what* it computes.
-enum class DispatchMode : uint8_t {
-  /// The PR-4 rule: session `id` is pinned to worker `id % K` forever.
-  kStatic = 0,
-  /// A session is re-homed whenever its queue goes from empty to
-  /// non-empty, onto the worker with the fewest outstanding tasks
-  /// (ties break to the lowest worker index).
-  kLeastLoaded = 1,
-  /// Sessions start on their static home, but an idle worker scans all
-  /// session queues and claims any with pending tasks.
-  kStealing = 2,
-};
-
-std::string_view DispatchModeToString(DispatchMode mode);
-
-/// Scheduling configuration of a server::StreamServer: the worker pool,
-/// the inter-session dispatch policy, and intra-session operator
-/// parallelism. Replaces the flat StreamServerOptions::worker_threads
-/// knob (DESIGN.md §16).
+/// Scheduling configuration of a server::StreamServer: the worker pool
+/// and intra-session operator parallelism (DESIGN.md §16). Placement is
+/// fixed: session `id` runs on worker `id % worker_threads` for its
+/// whole life, so per-session output never depends on either knob.
 struct SchedulerOptions {
   /// Number of worker threads session execution is scheduled across.
   /// 0 (the default) runs every session inline on the pushing thread —
@@ -99,10 +78,6 @@ struct SchedulerOptions {
   /// sessions' serial stretches.
   size_t worker_threads = 0;
 
-  /// How session task queues map to workers. Inert when
-  /// worker_threads == 0 (there is no pool to place sessions on).
-  DispatchMode dispatch = DispatchMode::kStatic;
-
   /// Threads cooperating on one session's join/aggregate kernels
   /// (morsel-style partitions with a deterministic central merge,
   /// DESIGN.md §16.2), *including* the worker running the session —
@@ -110,14 +85,6 @@ struct SchedulerOptions {
   /// require worker_threads > 0: the helpers belong to the server's
   /// task pool, and the serial inline path has none.
   size_t intra_session_threads = 0;
-
-  /// Minimum input rows before a kernel splits into morsels; smaller
-  /// inputs run the serial vectorized loop, where partition + merge
-  /// overhead would dominate. Purely a performance threshold — output
-  /// is byte-identical either way — so it is legal (and inert) without
-  /// intra_session_threads, which keeps the value stable across
-  /// worker-count sweeps (the snapshot stamp records it).
-  size_t parallel_min_rows = 0;
 
   /// Checks the scheduler invariants, returning a specific error for
   /// the first violation: worker_threads beyond the 256 ceiling,
@@ -128,36 +95,10 @@ struct SchedulerOptions {
 
 /// Execution options of a server::StreamServer (kept here with the other
 /// config types so callers configure a deployment from one header).
-///
-/// The pragma around the definition silences only the synthesized
-/// special members' NSDMI evaluation of the deprecated shim (every TU
-/// that copies or default-constructs the options would otherwise warn);
-/// explicit reads and writes of the field still trigger the
-/// deprecation at the call site.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct StreamServerOptions {
-  /// Scheduling: worker pool size, dispatch policy, intra-session
-  /// operator parallelism. See SchedulerOptions.
+  /// Scheduling: worker pool size and intra-session operator
+  /// parallelism. See SchedulerOptions.
   SchedulerOptions scheduler;
-
-  /// Deprecated migration shim for the pre-SchedulerOptions API
-  /// (`StreamServerOptions{.worker_threads = K}` aggregate-init). When
-  /// non-zero it behaves as scheduler.worker_threads with the default
-  /// kStatic dispatch and no intra-session parallelism; setting both
-  /// this and scheduler.worker_threads is a Validate() error. New code
-  /// sets scheduler.worker_threads.
-  [[deprecated(
-      "worker_threads moved into SchedulerOptions: set "
-      "scheduler.worker_threads (and pick a dispatch mode) "
-      "instead")]]
-  size_t worker_threads = 0;
-
-  /// Capacity of each session's bounded SPSC task ring, in tasks
-  /// (rounded up to a power of two). The pushing thread blocks when a
-  /// session's ring is full — backpressure, never loss: load shedding
-  /// is the triage queues' job, not the task queues'.
-  size_t task_queue_capacity = 1024;
 
   /// Server-wide state budget, in model bytes, split evenly across live
   /// sessions (each session enforces min(its own memory_budget_bytes,
@@ -166,19 +107,11 @@ struct StreamServerOptions {
   /// serial API-call sequence, not of scheduling.
   size_t memory_budget_bytes = 0;
 
-  /// The scheduler configuration with the deprecated worker_threads
-  /// shim folded in: when only the legacy field is set, the result is
-  /// `scheduler` with worker_threads substituted. Callers (and the
-  /// server) read scheduling exclusively through this accessor.
-  SchedulerOptions EffectiveScheduler() const;
-
-  /// Checks the options' invariants: a positive task_queue_capacity,
-  /// not both worker-thread knobs set, the effective scheduler's own
-  /// invariants (Validate() on SchedulerOptions), and a memory budget
-  /// that is zero or at least the per-session floor.
+  /// Checks the options' invariants: the scheduler's own invariants
+  /// (Validate() on SchedulerOptions) and a memory budget that is zero
+  /// or at least the per-session floor.
   Status Validate() const;
 };
-#pragma GCC diagnostic pop
 
 /// One tuple arriving on a named stream; the tuple's timestamp is its
 /// arrival time on the virtual clock. The name is the wire format of an

@@ -60,16 +60,13 @@ class SpscTaskQueue {
   alignas(64) std::atomic<uint64_t> tail_{0};  // next slot to fill
 };
 
-/// The static placement rule: session `id` starts homed on worker
-/// `id % workers`. This is a *placement* choice, not what keeps the
+/// The placement rule: session `id` is homed on worker `id % workers`
+/// for its whole life. This is a *placement* choice, not what keeps the
 /// parallel run byte-identical to the serial one — the equivalence
-/// contract is that each session's tasks live in one FIFO ring and are
-/// consumed in feed order by exactly one worker at a time (the
-/// TaskScheduler's claim protocol serializes consumers), so the
-/// session's processing clock, RNGs, and window emission order never
-/// depend on which worker runs it. Least-loaded re-homing and work
-/// stealing move sessions between workers without touching that
-/// invariant (DESIGN.md Sec. 11, Sec. 16.1).
+/// contract is that each session's tasks live in one FIFO ring that its
+/// home worker alone consumes, in feed order, so the session's
+/// processing clock, RNGs, and window emission order never depend on
+/// which worker runs it (DESIGN.md Sec. 11, Sec. 16.1).
 inline size_t WorkerForSession(uint32_t session_id, size_t workers) {
   return workers == 0 ? 0 : static_cast<size_t>(session_id) % workers;
 }

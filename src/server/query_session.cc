@@ -563,8 +563,7 @@ Status QuerySession::EmitWindow(WindowId window) {
       exec::EvaluatePlan(exact_plan, kept_inputs, &exec_stats,
                          exec::EvalOptions{config_.vectorized_exec,
                                            config_.vectorized_min_rows,
-                                           task_pool_,
-                                           parallel_min_rows_}));
+                                           task_pool_, 0}));
   ChargeExactTime(static_cast<double>(exec_stats.TotalWork()) *
                   config_.cost_model.exact_work_unit_cost);
   // Roll this window's executor accounting into the registry.

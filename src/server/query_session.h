@@ -144,15 +144,12 @@ class QuerySession {
 
   /// Intra-session operator parallelism (DESIGN.md §16.2): window
   /// evaluation splits join/aggregation work into morsels run on `pool`
-  /// when a relation reaches `parallel_min_rows` rows. The partials
+  /// when a relation reaches two morsels' worth of rows. The partials
   /// merge deterministically, so results stay byte-identical to the
   /// serial path — the pool is a throughput knob only. Pass nullptr to
   /// stay serial. Called by the server before the session's first
   /// arrival (or at mid-stream registration).
-  void SetTaskPool(exec::TaskPool* pool, size_t parallel_min_rows) {
-    task_pool_ = pool;
-    parallel_min_rows_ = parallel_min_rows;
-  }
+  void SetTaskPool(exec::TaskPool* pool) { task_pool_ = pool; }
 
   /// Mid-stream registration (DESIGN.md §14): admits events from `t` on
   /// by stamping every lane's admission horizon. Must be called before
@@ -285,7 +282,6 @@ class QuerySession {
 
   /// Shared morsel pool (owned by the server); null in serial mode.
   exec::TaskPool* task_pool_ = nullptr;
-  size_t parallel_min_rows_ = 0;
 
   /// Per-session byte account (DESIGN.md §15): single-writer, exact,
   /// and the enforcement input for memory-triggered triage.

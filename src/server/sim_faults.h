@@ -40,19 +40,17 @@ struct SimFaults {
 
   // --- Scheduler faults (src/server/task_scheduler.*, parallel.h) ---
 
-  /// Initial session-to-worker placement override. kModulo is the
-  /// production rule (session id % workers); the adversarial variants
-  /// pile every session onto one worker or reverse the assignment. The
-  /// override sets each session's *initial* home under every
-  /// DispatchMode (least-loaded re-homing and stealing then move work
-  /// from that adversarial start) — per-session output must not change
-  /// either way.
+  /// Session-to-worker placement override. kModulo is the production
+  /// rule (session id % workers); the adversarial variants pile every
+  /// session onto one worker or reverse the assignment. The override
+  /// fixes each session's home for its whole life — per-session output
+  /// must not change either way.
   enum class Sharding : uint8_t { kModulo, kSingleWorker, kReversed };
   Sharding sharding = Sharding::kModulo;
 
-  /// When > 0, overrides StreamServerOptions::task_queue_capacity with a
-  /// deliberately tiny ring so the dispatching thread constantly hits
-  /// the backpressure (full-ring) path.
+  /// When > 0, overrides the server's per-session task-ring capacity
+  /// (1024 slots) with a deliberately tiny ring so the dispatching
+  /// thread constantly hits the backpressure (full-ring) path.
   size_t task_queue_capacity_override = 0;
 
   /// When > 0, the dispatching thread yields after every N enqueued

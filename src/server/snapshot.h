@@ -43,7 +43,10 @@ struct SessionSnapshot {
 /// carries the policy's partial-match tracker (DESIGN.md §17). The
 /// payload layout is otherwise unchanged, but a v3 reader cannot parse a
 /// utility lane, so the version gates it.
-inline constexpr uint32_t kSnapshotVersion = 4;
+/// v5: the v3 scheduler stamp is gone — with one placement rule and no
+/// morsel floor, no scheduler option shapes a session's bytes, so a
+/// snapshot restores under any SchedulerOptions (DESIGN.md §16.3).
+inline constexpr uint32_t kSnapshotVersion = 5;
 
 /// Frames `payload` as a complete snapshot byte string:
 /// magic "DTSS" + u32 version + u64 payload size + payload + 32-char MD5

@@ -12,6 +12,15 @@
 
 namespace datatriage::server {
 
+namespace {
+
+/// Slots in each session's task ring (rounded up to a power of two). The
+/// pushing thread blocks when a ring is full — backpressure, never loss:
+/// load shedding is the triage queues' job, not the task rings'.
+constexpr size_t kTaskQueueCapacity = 1024;
+
+}  // namespace
+
 std::string_view ServerStateName(ServerState state) {
   switch (state) {
     case ServerState::kRegistering:
@@ -83,13 +92,12 @@ Result<SessionId> StreamServer::RegisterQuery(plan::BoundQuery query,
   session->SetServerAccountant(&accountant_);
   if (scheduler_ != nullptr) {
     // Mid-stream registrant while the scheduler runs: give it a task
-    // ring (initial home by the static placement rule, fault-adjusted)
-    // and the shared morsel pool before its first arrival.
+    // ring (homed by the placement rule, fault-adjusted) and the shared
+    // morsel pool before its first arrival.
     scheduler_->AddSession(
         id, WorkerForSessionFaulted(id, scheduler_->size(),
                                     plane_.sim_faults()));
-    session->SetTaskPool(task_pool_.get(),
-                         options_.EffectiveScheduler().parallel_min_rows);
+    session->SetTaskPool(task_pool_.get());
   }
   sessions_.push_back(std::move(session));
   if (options_.memory_budget_bytes > 0) {
@@ -146,15 +154,6 @@ Result<SessionSnapshot> StreamServer::SnapshotSession(SessionId id) {
   serde::Writer writer;
   writer.WriteString(session->sql());
   SaveEngineConfig(&writer, session->config());
-  // v3 scheduler stamp: the knobs that shape a session's bytes
-  // (dispatch gates nothing today but is recorded for cross-checking;
-  // parallel_min_rows feeds the morsel gate). worker_threads and
-  // intra_session_threads are deployment properties — deliberately not
-  // stamped, so snapshot bytes stay identical across worker-count
-  // sweeps.
-  const engine::SchedulerOptions effective = options_.EffectiveScheduler();
-  writer.WriteU8(static_cast<uint8_t>(effective.dispatch));
-  writer.WriteU64(effective.parallel_min_rows);
   writer.WriteBool(plane_.saw_arrival());
   writer.WriteDouble(plane_.now());
   session->SaveState(&writer);
@@ -175,35 +174,6 @@ Result<SessionId> StreamServer::RestoreSession(
   DT_ASSIGN_OR_RETURN(const std::string sql, reader.ReadString());
   DT_ASSIGN_OR_RETURN(engine::EngineConfig config,
                       LoadEngineConfig(&reader));
-  DT_ASSIGN_OR_RETURN(const uint8_t dispatch_tag, reader.ReadU8());
-  if (dispatch_tag > static_cast<uint8_t>(engine::DispatchMode::kStealing)) {
-    return Status::InvalidArgument(StringPrintf(
-        "snapshot: unknown dispatch mode tag %u", dispatch_tag));
-  }
-  DT_ASSIGN_OR_RETURN(const uint64_t donor_min_rows, reader.ReadU64());
-  // Strict scheduler cross-check: the donor's stamped dispatch mode and
-  // morsel floor must match this server's, or the restored session's
-  // future bytes could diverge from the donor's.
-  const engine::SchedulerOptions effective = options_.EffectiveScheduler();
-  if (dispatch_tag != static_cast<uint8_t>(effective.dispatch)) {
-    return Status::InvalidArgument(StringPrintf(
-        "snapshot: donor dispatch mode %s does not match this server's "
-        "%s — restore onto a server with the same "
-        "SchedulerOptions::dispatch",
-        std::string(engine::DispatchModeToString(
-                        static_cast<engine::DispatchMode>(dispatch_tag)))
-            .c_str(),
-        std::string(engine::DispatchModeToString(effective.dispatch))
-            .c_str()));
-  }
-  if (donor_min_rows != effective.parallel_min_rows) {
-    return Status::InvalidArgument(StringPrintf(
-        "snapshot: donor parallel_min_rows %llu does not match this "
-        "server's %llu — restore onto a server with the same "
-        "SchedulerOptions::parallel_min_rows",
-        static_cast<unsigned long long>(donor_min_rows),
-        static_cast<unsigned long long>(effective.parallel_min_rows)));
-  }
   DT_ASSIGN_OR_RETURN(const bool donor_saw_arrival, reader.ReadBool());
   DT_ASSIGN_OR_RETURN(const VirtualTime donor_clock, reader.ReadDouble());
   // Rebuild the session the same way it was first made (parse, bind,
@@ -295,24 +265,23 @@ Status StreamServer::EnsureStreaming() {
   }
   if (state_ == ServerState::kRegistering) {
     state_ = ServerState::kStreaming;
-    const engine::SchedulerOptions effective = options_.EffectiveScheduler();
+    const engine::SchedulerOptions& scheduling = options_.scheduler;
     // Without intra-session parallelism there is nothing for a worker
     // beyond one-per-session to do, so clamp to the session count; with
     // morsel helpers configured the full complement stays useful (the
     // helpers are the TaskPool's own threads, but scheduler workers
     // overlap sessions' serial stretches).
     const size_t workers =
-        effective.intra_session_threads > 1
-            ? effective.worker_threads
-            : std::min(effective.worker_threads, sessions_.size());
+        scheduling.intra_session_threads > 1
+            ? scheduling.worker_threads
+            : std::min(scheduling.worker_threads, sessions_.size());
     if (workers > 0) {
       const SimFaults* faults = plane_.sim_faults();
-      size_t queue_capacity = options_.task_queue_capacity;
+      size_t queue_capacity = kTaskQueueCapacity;
       if (faults != nullptr && faults->task_queue_capacity_override > 0) {
         queue_capacity = faults->task_queue_capacity_override;
       }
-      scheduler_ = std::make_unique<TaskScheduler>(effective.dispatch,
-                                                   workers, queue_capacity);
+      scheduler_ = std::make_unique<TaskScheduler>(workers, queue_capacity);
       if (faults != nullptr) {
         scheduler_->SetDispatchYield(faults->dispatch_yield_every);
       }
@@ -321,13 +290,12 @@ Status StreamServer::EnsureStreaming() {
             session->id(),
             WorkerForSessionFaulted(session->id(), workers, faults));
       }
-      if (effective.intra_session_threads > 1) {
+      if (scheduling.intra_session_threads > 1) {
         task_pool_ = std::make_unique<exec::TaskPool>(
-            effective.intra_session_threads - 1);
+            scheduling.intra_session_threads - 1);
       }
       for (std::unique_ptr<QuerySession>& session : sessions_) {
-        session->SetTaskPool(task_pool_.get(),
-                             effective.parallel_min_rows);
+        session->SetTaskPool(task_pool_.get());
       }
       plane_.SetDispatcher([this](StreamLane* lane, const Tuple& tuple) {
         WorkerTask task;

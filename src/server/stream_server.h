@@ -52,10 +52,10 @@ std::string_view ServerStateName(ServerState state);
 /// ContinuousQueryEngine run of the same (query, config) over the same
 /// events — co-hosting shares the ingest boundary (name resolution,
 /// validation, routing), never the per-query triage state — and that
-/// holds for every SchedulerOptions setting (worker count, dispatch
-/// mode, intra-session threads): each session's tasks live in one FIFO
-/// ring consumed in feed order by exactly one worker at a time, and
-/// morsel-parallel operators merge their partials deterministically
+/// holds for every SchedulerOptions setting (worker count,
+/// intra-session threads): each session's tasks live in one FIFO ring
+/// consumed in feed order by its one home worker, and morsel-parallel
+/// operators merge their partials deterministically
 /// (DESIGN.md Sec. 11, Sec. 16).
 ///
 /// Mid-stream lifecycle (DESIGN.md §14): a query registered at arrival

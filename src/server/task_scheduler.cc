@@ -36,9 +36,8 @@ size_t WorkerForSessionFaulted(uint32_t session_id, size_t workers,
   return WorkerForSession(session_id, workers);
 }
 
-TaskScheduler::TaskScheduler(engine::DispatchMode dispatch, size_t workers,
-                             size_t queue_capacity)
-    : dispatch_(dispatch), queue_capacity_(queue_capacity) {
+TaskScheduler::TaskScheduler(size_t workers, size_t queue_capacity)
+    : queue_capacity_(queue_capacity) {
   DT_CHECK(workers > 0);
   depth_hwm_.assign(workers, 0);
   workers_.reserve(workers);
@@ -84,24 +83,6 @@ void TaskScheduler::Dispatch(uint32_t session_id, WorkerTask task) {
   DT_CHECK(session_id < producer_view_.size());
   SessionQueue& q = *producer_view_[session_id];
   const uint64_t enqueued = q.enqueued.load(std::memory_order_relaxed);
-  if (dispatch_ == engine::DispatchMode::kLeastLoaded &&
-      enqueued == q.executed.load(std::memory_order_acquire)) {
-    // Empty→non-empty transition: re-home onto the worker with the
-    // fewest outstanding tasks (ties to the lowest index). A hint, not
-    // a lock — the claim protocol keeps consumption serialized even if
-    // the old home is still mid-scan.
-    std::vector<uint64_t> load(workers_.size(), 0);
-    for (const SessionQueue* s : producer_view_) {
-      load[s->home.load(std::memory_order_relaxed)] +=
-          s->enqueued.load(std::memory_order_relaxed) -
-          s->executed.load(std::memory_order_relaxed);
-    }
-    size_t best = 0;
-    for (size_t w = 1; w < load.size(); ++w) {
-      if (load[w] < load[best]) best = w;
-    }
-    q.home.store(best, std::memory_order_relaxed);
-  }
   while (!q.queue.TryPush(std::move(task))) {
     // Full ring: the consumer is behind. Backpressure the feed rather
     // than dropping — shedding is the triage queues' job.
@@ -110,8 +91,7 @@ void TaskScheduler::Dispatch(uint32_t session_id, WorkerTask task) {
   q.enqueued.store(enqueued + 1, std::memory_order_release);
   const int64_t depth = static_cast<int64_t>(
       enqueued + 1 - q.executed.load(std::memory_order_relaxed));
-  const size_t home = q.home.load(std::memory_order_relaxed);
-  if (depth > depth_hwm_[home]) depth_hwm_[home] = depth;
+  if (depth > depth_hwm_[q.home]) depth_hwm_[q.home] = depth;
   if (dispatch_yield_every_ > 0 &&
       ++dispatched_since_yield_ >= dispatch_yield_every_) {
     dispatched_since_yield_ = 0;
@@ -204,7 +184,7 @@ bool TaskScheduler::DrainSession(Worker* w, SessionQueue* q) {
     }
     ++w->tasks;
     // Publishes the task's side effects (session state, the counters
-    // above) to Drain()'s acquire load and to the next claimant.
+    // above) to Drain()'s acquire load.
     q->executed.fetch_add(1, std::memory_order_release);
   }
   return any;
@@ -215,7 +195,6 @@ void TaskScheduler::RunWorker(size_t k) {
   std::vector<SessionQueue*> view;
   uint64_t seen_generation = 0;
   int spins = 0;
-  const bool steal = dispatch_ == engine::DispatchMode::kStealing;
   for (;;) {
     if (generation_.load(std::memory_order_acquire) != seen_generation) {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
@@ -228,25 +207,14 @@ void TaskScheduler::RunWorker(size_t k) {
     }
     bool did_work = false;
     for (SessionQueue* q : view) {
-      // Static and least-loaded workers scan only their homed rings; a
-      // stealing worker scans every ring and claims any with pending
-      // tasks (its own home rings first, by scan order).
-      if (!steal && q->home.load(std::memory_order_relaxed) != k) continue;
+      // Each worker pops only the rings homed on it, so every ring has
+      // exactly one consumer.
+      if (q->home != k) continue;
       if (q->executed.load(std::memory_order_relaxed) ==
           q->enqueued.load(std::memory_order_acquire)) {
         continue;
       }
-      bool expected = false;
-      // Acquire pairs with the previous claimant's release: the ring's
-      // consumer cursor and the session's single-threaded state are
-      // fully visible before any task runs here.
-      if (!q->claimed.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed)) {
-        continue;
-      }
       did_work |= DrainSession(self, q);
-      q->claimed.store(false, std::memory_order_release);
     }
     if (did_work) {
       spins = 0;

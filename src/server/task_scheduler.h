@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/engine/config.h"
 #include "src/server/parallel.h"
 
 namespace datatriage::server {
@@ -30,17 +29,15 @@ struct TaskWorkerStats {
 
 /// Fixed pool of worker threads consuming per-*session* bounded SPSC
 /// task rings, fed by a single dispatching thread (the StreamServer's
-/// ingest thread). Which worker runs a session is the dispatch policy's
-/// business (engine::DispatchMode): static modulo homes, least-loaded
-/// re-homing at each empty→non-empty transition, or work stealing where
-/// any idle worker may claim any pending session.
+/// ingest thread). Each ring's home worker is fixed when the session is
+/// added (`id % K` by default), and only that worker ever pops it.
 ///
-/// The determinism contract (DESIGN.md §11, §16.1) is policy-free: a
-/// session's tasks sit in one FIFO ring and a claim flag serializes
-/// consumers, so every mode consumes each session in feed order on one
-/// thread *at a time*. Placement moves *when* a session runs across
-/// wall-clock time, never *what* it computes — per-session output is
-/// byte-identical across modes and worker counts.
+/// The determinism contract (DESIGN.md §11, §16.1): a session's tasks
+/// sit in one FIFO ring with exactly one consumer for its whole life,
+/// so each session is consumed in feed order on one thread. The worker
+/// count moves *when* a session runs across wall-clock time, never
+/// *what* it computes — per-session output is byte-identical across
+/// worker counts.
 ///
 /// Error model: task execution is asynchronous, so a failing task cannot
 /// fail the Push that enqueued it. The first error per session is
@@ -54,8 +51,7 @@ class TaskScheduler {
  public:
   /// Starts `workers` (>= 1) threads. Each session added later gets its
   /// own task ring of at least `queue_capacity` slots.
-  TaskScheduler(engine::DispatchMode dispatch, size_t workers,
-                size_t queue_capacity);
+  TaskScheduler(size_t workers, size_t queue_capacity);
 
   /// Stops and joins outstanding workers (draining every ring first).
   ~TaskScheduler();
@@ -63,18 +59,16 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Registers session `session_id` with its initial home worker.
-  /// Session ids must arrive dense and in order (they index the ring
-  /// table). Safe while workers run — mid-stream registration adds
-  /// sessions between pushes; workers pick the new ring up on their
-  /// next scan.
+  /// Registers session `session_id` with its home worker, the ring's
+  /// only consumer from now on. Session ids must arrive dense and in
+  /// order (they index the ring table). Safe while workers run —
+  /// mid-stream registration adds sessions between pushes; the home
+  /// worker picks the new ring up on its next scan.
   void AddSession(uint32_t session_id, size_t home_worker);
 
   /// Enqueues `task` on `session_id`'s ring, blocking (yield loop)
   /// while the ring is full. Must only be called from the single
-  /// dispatching thread, and not after Stop(). Under kLeastLoaded an
-  /// empty→non-empty ring is first re-homed to the worker with the
-  /// fewest outstanding tasks (ties to the lowest index).
+  /// dispatching thread, and not after Stop().
   void Dispatch(uint32_t session_id, WorkerTask task);
 
   /// Simulation hook (SimFaults::dispatch_yield_every): when `every_n`
@@ -105,8 +99,7 @@ class TaskScheduler {
   TaskWorkerStats stats(size_t worker) const;
 
  private:
-  /// One session's task ring plus the claim protocol that serializes
-  /// its consumers across dispatch modes.
+  /// One session's task ring and its completion cursors.
   struct SessionQueue {
     SessionQueue(uint32_t session_id, size_t queue_capacity,
                  size_t home_worker)
@@ -114,15 +107,8 @@ class TaskScheduler {
 
     const uint32_t id;
     SpscTaskQueue queue;
-    /// Placement hint: which worker scans this ring (ignored by
-    /// stealing workers, which scan every ring). Producer-written
-    /// under kLeastLoaded; a hint only, the claim below is what
-    /// serializes consumption.
-    std::atomic<size_t> home;
-    /// Exactly one worker consumes the ring at a time: acquire-CAS to
-    /// claim, release-store to release, so ring consumer state hands
-    /// off cleanly between workers under stealing/re-homing.
-    std::atomic<bool> claimed{false};
+    /// The one worker that pops this ring, fixed at AddSession.
+    const size_t home;
     /// Producer cursor (single writer: the dispatching thread);
     /// release-published after the slot lands so scanning workers see
     /// the ring non-empty only once the task is poppable.
@@ -145,7 +131,7 @@ class TaskScheduler {
 
   void RunWorker(size_t k);
   /// Pops and runs `q`'s tasks until its ring is empty; returns whether
-  /// any task was popped. Caller must hold the claim.
+  /// any task was popped. Caller must be `q`'s home worker.
   bool DrainSession(Worker* w, SessionQueue* q);
   static Status ExecuteTask(const WorkerTask& task);
   void RecordError(uint32_t session_id, Status status);
@@ -153,7 +139,6 @@ class TaskScheduler {
   /// sessions_ when the generation counter moved.
   void RefreshProducerView();
 
-  const engine::DispatchMode dispatch_;
   const size_t queue_capacity_;
 
   /// Ring table: index == session id. Guarded by sessions_mutex_ for

@@ -315,9 +315,8 @@ Status CheckSnapshotRestore(const SimScenario& scenario,
                             bool install_faults) {
   if (base.session_snapshot.empty()) return Status::OK();
   engine::StreamServerOptions options = scenario.options;
-  // Serial restore target. dispatch and parallel_min_rows keep the
-  // scenario's values so the snapshot's scheduler stamp cross-checks
-  // cleanly (they are stamped; thread counts are not).
+  // Serial restore target: snapshots carry no scheduler state, so the
+  // donor's thread counts need not match.
   options.scheduler.worker_threads = 0;
   options.scheduler.intra_session_threads = 0;
   server::StreamServer server(scenario.catalog, options);

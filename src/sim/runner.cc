@@ -102,34 +102,6 @@ Status RunOracles(uint64_t seed, const SimScenario& scenario,
         seed, "exec-mode-equivalence"));
   }
 
-  // Dispatch-mode equivalence: rerun the scenario with the dispatch
-  // mode flipped (kStealing <-> kStatic; kLeastLoaded flips to
-  // kStealing) at every parallel worker count. Placement policy moves
-  // *when* a session runs, never *what* it computes, so per-session
-  // output must match the serial baseline exactly. Snapshot bytes are
-  // exempt: the stamp serializes the (deliberately different) mode.
-  {
-    SimScenario flipped = scenario;
-    engine::SchedulerOptions& sched = flipped.options.scheduler;
-    sched.dispatch = sched.dispatch == engine::DispatchMode::kStealing
-                         ? engine::DispatchMode::kStatic
-                         : engine::DispatchMode::kStealing;
-    for (size_t workers : options.worker_counts) {
-      if (workers == 0) continue;  // no scheduler, nothing to flip
-      auto flipped_run = RunOnServer(flipped, workers, install_faults);
-      if (!flipped_run.ok()) {
-        return Annotate(flipped_run.status(), seed,
-                        "dispatch-mode-flip-run");
-      }
-      const std::string label = "dispatch-flipped workers=" +
-                                std::to_string(workers);
-      DT_RETURN_IF_ERROR(Annotate(
-          CheckRunsEquivalent(base, *flipped_run, "serial", label,
-                              /*compare_snapshots=*/false),
-          seed, "dispatch-mode-equivalence"));
-    }
-  }
-
   // Standalone-engine equivalence needs a fault-free server: a
   // ContinuousQueryEngine has no fault hooks to mirror them (and the
   // fault-shed counter alone would already skew the metrics export).

@@ -419,19 +419,11 @@ SimScenario GenerateScenario(uint64_t seed) {
   }
   // Scheduler fuzzing (DESIGN.md §16), seed-bit idiom so the rng draw
   // sequence of existing seeds stays byte-identical: ~1/4 of scenarios
-  // pick a non-default SchedulerOptions. worker_threads stays 0 here —
-  // the runner sweeps worker counts itself — but dispatch mode, the
-  // intra-session morsel fan-out, and the morsel floor ride in the
-  // scenario so every oracle (including the snapshot round-trip, which
-  // cross-checks the scheduler stamp) sees them.
+  // turn on intra-session morsels. worker_threads stays 0 here — the
+  // runner sweeps worker counts itself — but the morsel fan-out rides
+  // in the scenario so every oracle sees it.
   if ((seed & 3) == 2) {
-    engine::SchedulerOptions& sched = scenario.options.scheduler;
-    sched.dispatch = ((seed >> 2) & 1) != 0
-                         ? engine::DispatchMode::kStealing
-                         : engine::DispatchMode::kLeastLoaded;
-    sched.intra_session_threads = 1 + ((seed >> 4) & 3);
-    static constexpr size_t kMinRowsChoices[] = {0, 0, 64, 256};
-    sched.parallel_min_rows = kMinRowsChoices[(seed >> 6) & 3];
+    scenario.options.scheduler.intra_session_threads = 1 + ((seed >> 4) & 3);
   }
   // MATCH pattern cohort (DESIGN.md §17), ~1/4 of seeds: one query is
   // rewritten into a pattern query. The conversion draws nothing from
@@ -536,13 +528,9 @@ std::string Describe(const SimScenario& scenario) {
     out += StringPrintf("  snapshot: session 0 before event %zu\n",
                         scenario.snapshot_at_event);
   }
-  const engine::SchedulerOptions& sched = scenario.options.scheduler;
-  if (sched.dispatch != engine::DispatchMode::kStatic ||
-      sched.intra_session_threads > 0 || sched.parallel_min_rows > 0) {
-    out += StringPrintf(
-        "  scheduler: dispatch=%s intra=%zu parallel_min_rows=%zu\n",
-        std::string(engine::DispatchModeToString(sched.dispatch)).c_str(),
-        sched.intra_session_threads, sched.parallel_min_rows);
+  const size_t intra = scenario.options.scheduler.intra_session_threads;
+  if (intra > 0) {
+    out += StringPrintf("  scheduler: intra=%zu\n", intra);
   }
   for (size_t i = 0; i < scenario.queries.size(); ++i) {
     const SimQuery& q = scenario.queries[i];

@@ -2,19 +2,22 @@
 // BatchView / ColumnBuilder / HashRows) and for the vectorized executor's
 // byte-for-byte contract against the scalar reference: empty batches,
 // all-rows-filtered plans, exception-mask ("null"-mask) propagation
-// through projection -> filter -> join chains, and engine windows whose
-// content spans multiple PushBatch chunks.
+// through projection -> filter -> join chains, morsel-parallel join and
+// aggregate kernels, and engine windows whose content spans multiple
+// PushBatch chunks.
 
 #include "src/exec/column_batch.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/engine/engine.h"
 #include "src/exec/evaluator.h"
+#include "src/exec/task_pool.h"
 #include "src/io/csv.h"
 #include "tests/test_util.h"
 
@@ -269,6 +272,53 @@ TEST(ColumnBatchExecTest, ExceptionRowsThroughAggregate) {
   const Relation out = ExpectExecParity(**agg, inputs);
   // Groups: {1 / 1.0} (promotion-equal), {"g"}.
   EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(ColumnBatchExecTest, MorselSplitsAreInvisibleInOutputAndStats) {
+  // 3000-row inputs span more than two 1024-row morsels, so with a pool
+  // and no floor the join build/probe and the group discovery split;
+  // a SIZE_MAX floor or no pool keeps them serial. Rows, row order,
+  // timestamps, and ExecStats must not notice. Join keys repeat (two r
+  // rows per key) so the central merge has duplicate chains to splice.
+  constexpr int kRows = 3000;
+  RelationProvider inputs;
+  Relation& r = inputs[{"r", Channel::kBase}];
+  Relation& s = inputs[{"s", Channel::kBase}];
+  for (int i = 0; i < kRows; ++i) {
+    r.push_back(Row({i % 1500}, 0.001 * i));
+    s.push_back(Row({(7 * i) % 2000, i}, 0.001 * i + 0.0005));
+  }
+  PlanPtr r_scan = LogicalPlan::StreamScan("r", Channel::kBase, RSchema());
+  PlanPtr s_scan = LogicalPlan::StreamScan("s", Channel::kBase, SSchema());
+  auto join = LogicalPlan::Join(r_scan, s_scan, {{0, 0}});
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  auto group_by = LogicalPlan::Aggregate(
+      s_scan, {plan::GroupBySpec{0, "b"}},
+      {plan::AggregateSpec{sql::AggFunc::kCount, true, 0, "count"},
+       plan::AggregateSpec{sql::AggFunc::kSum, false, 1, "sum_c"},
+       plan::AggregateSpec{sql::AggFunc::kMin, false, 1, "min_c"},
+       plan::AggregateSpec{sql::AggFunc::kAvg, false, 1, "avg_c"}});
+  ASSERT_TRUE(group_by.ok()) << group_by.status().ToString();
+
+  TaskPool pool(3);
+  for (const PlanPtr& plan : {*join, *group_by}) {
+    ExecStats serial_stats;
+    auto serial = EvaluatePlan(*plan, inputs, &serial_stats,
+                               EvalOptions{true, 0, nullptr, 0});
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_GT(serial->size(), 1000u);
+    for (const EvalOptions& options :
+         {EvalOptions{true, 0, &pool, 0},
+          EvalOptions{true, 0, &pool, SIZE_MAX}}) {
+      SCOPED_TRACE("parallel_min_rows=" +
+                   std::to_string(options.parallel_min_rows));
+      ExecStats stats;
+      auto run = EvaluatePlan(*plan, inputs, &stats, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExpectSameRelationExact(*run, *serial);
+      ExpectSameStats(stats, serial_stats);
+    }
+  }
 }
 
 // --- Engine windows spanning PushBatch chunks ---------------------------

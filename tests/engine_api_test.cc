@@ -97,9 +97,7 @@ TEST(SchedulerOptionsValidateTest, AcceptsDefaultsAndFullConfig) {
   EXPECT_TRUE(engine::SchedulerOptions{}.Validate().ok());
   engine::SchedulerOptions full;
   full.worker_threads = 8;
-  full.dispatch = engine::DispatchMode::kStealing;
   full.intra_session_threads = 4;
-  full.parallel_min_rows = 4096;
   EXPECT_TRUE(full.Validate().ok());
 }
 
@@ -128,34 +126,6 @@ TEST(SchedulerOptionsValidateTest, RejectsThreadCountCeilings) {
   status = options.Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("intra_session_threads"),
-            std::string::npos);
-}
-
-TEST(StreamServerOptionsValidateTest, DeprecatedShimFoldsIntoScheduler) {
-  engine::StreamServerOptions options;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  options.worker_threads = 3;  // legacy aggregate-init style
-#pragma GCC diagnostic pop
-  EXPECT_TRUE(options.Validate().ok());
-  const engine::SchedulerOptions effective = options.EffectiveScheduler();
-  EXPECT_EQ(effective.worker_threads, 3u);
-  EXPECT_EQ(effective.dispatch, engine::DispatchMode::kStatic);
-  EXPECT_EQ(effective.intra_session_threads, 0u);
-}
-
-TEST(StreamServerOptionsValidateTest, RejectsBothWorkerKnobsSet) {
-  engine::StreamServerOptions options;
-  options.scheduler.worker_threads = 2;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  options.worker_threads = 3;
-#pragma GCC diagnostic pop
-  Status status = options.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("deprecated"), std::string::npos);
-  EXPECT_NE(status.message().find("scheduler.worker_threads"),
             std::string::npos);
 }
 

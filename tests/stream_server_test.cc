@@ -997,56 +997,62 @@ TEST(SessionSnapshotTest, RejectsCorruptTruncatedAndSkewedSnapshots) {
   EXPECT_TRUE(target.RestoreSession(*snapshot).ok());
 }
 
-TEST(SessionSnapshotTest, RejectsSchedulerStampMismatchOnRestore) {
+TEST(SessionSnapshotTest, SnapshotRestoresUnderAnySchedulerOptions) {
+  // Snapshots carry no scheduler state: one taken under a threaded,
+  // morsel-parallel donor restores onto a serial server and onto a
+  // wider one, and both finish the feed byte-identically to the donor.
   const workload::Scenario scenario = OverloadScenario();
   const std::vector<QuerySpec> specs = HostedQueries(scenario);
   const std::span<const StreamEvent> events(scenario.events);
+  const size_t half = events.size() / 2;
 
   engine::StreamServerOptions donor_options;
-  donor_options.scheduler.worker_threads = 2;
-  donor_options.scheduler.dispatch = engine::DispatchMode::kStealing;
+  donor_options.scheduler = {.worker_threads = 2,
+                             .intra_session_threads = 2};
   StreamServer donor(scenario.catalog, donor_options);
-  auto id = donor.RegisterQuery(specs[0].sql, specs[0].config);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  ASSERT_TRUE(donor.PushBatch(events.subspan(0, events.size() / 2)).ok());
-  auto snapshot = donor.SnapshotSession(*id);
+  std::vector<SessionId> ids;
+  for (const QuerySpec& spec : specs) {
+    auto id = donor.RegisterQuery(spec.sql, spec.config);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(donor.PushBatch(events.subspan(0, half)).ok());
+  auto snapshot = donor.SnapshotSession(ids[0]);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(donor.PushBatch(events.subspan(half)).ok());
+  ASSERT_TRUE(donor.Finish().ok());
+  QuerySession& donor_session = donor.session(ids[0]);
+  const std::string donor_csv =
+      io::FormatResultsCsv(donor_session.TakeResults(), specs[0].columns);
+  const std::string donor_metrics =
+      obs::MetricsJson(donor_session.metrics(), &donor_session.trace());
 
-  // A kStatic target refuses the kStealing stamp by name.
-  StreamServer static_target(scenario.catalog);
-  auto bad = static_target.RestoreSession(*snapshot);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("dispatch mode"),
-            std::string::npos)
-      << bad.status().ToString();
-
-  // A mismatched morsel floor is refused too.
-  engine::StreamServerOptions floor_options;
-  floor_options.scheduler.dispatch = engine::DispatchMode::kStealing;
-  floor_options.scheduler.parallel_min_rows = 512;
-  StreamServer floor_target(scenario.catalog, floor_options);
-  bad = floor_target.RestoreSession(*snapshot);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("parallel_min_rows"),
-            std::string::npos)
-      << bad.status().ToString();
-
-  // Matching dispatch restores fine even at a different worker count —
-  // thread counts are deployment properties, deliberately unstamped.
-  engine::StreamServerOptions match_options;
-  match_options.scheduler.worker_threads = 4;
-  match_options.scheduler.dispatch = engine::DispatchMode::kStealing;
-  match_options.scheduler.intra_session_threads = 2;
-  StreamServer match_target(scenario.catalog, match_options);
-  EXPECT_TRUE(match_target.RestoreSession(*snapshot).ok());
+  for (const engine::SchedulerOptions& scheduler :
+       {engine::SchedulerOptions{},
+        engine::SchedulerOptions{.worker_threads = 4,
+                                 .intra_session_threads = 2}}) {
+    SCOPED_TRACE(StringPrintf("workers=%zu intra=%zu",
+                              scheduler.worker_threads,
+                              scheduler.intra_session_threads));
+    engine::StreamServerOptions options;
+    options.scheduler = scheduler;
+    StreamServer restored(scenario.catalog, options);
+    auto restored_id = restored.RestoreSession(*snapshot);
+    ASSERT_TRUE(restored_id.ok()) << restored_id.status().ToString();
+    ASSERT_TRUE(restored.PushBatch(events.subspan(half)).ok());
+    ASSERT_TRUE(restored.Finish().ok());
+    QuerySession& revived = restored.session(*restored_id);
+    EXPECT_EQ(io::FormatResultsCsv(revived.TakeResults(), specs[0].columns),
+              donor_csv);
+    EXPECT_EQ(obs::MetricsJson(revived.metrics(), &revived.trace()),
+              donor_metrics);
+  }
 }
 
 // --- Skewed tenants under the scheduler sweep (DESIGN.md §16) -----------
 
 /// One giant join session next to tiny single-stream tenants: the shape
-/// where dispatch policy and intra-session parallelism actually move
+/// where worker placement and intra-session parallelism actually move
 /// work around. The giant runs the scenario's three-way join with a
 /// deep queue (big builds, big probes); the tiny tenants are cheap
 /// single-stream counts that finish almost instantly.
@@ -1118,71 +1124,38 @@ TEST(SkewedTenantEquivalence, SchedulerSweepProducesByteIdenticalRuns) {
   // little.
   EXPECT_GT(serial[0].snapshot.core.tuples_dropped, 0);
 
-  for (engine::DispatchMode dispatch :
-       {engine::DispatchMode::kStatic, engine::DispatchMode::kLeastLoaded,
-        engine::DispatchMode::kStealing}) {
-    for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
-      for (size_t intra : {size_t{1}, size_t{2}, size_t{4}}) {
-        SCOPED_TRACE(StringPrintf(
-            "dispatch=%s workers=%zu intra=%zu",
-            std::string(engine::DispatchModeToString(dispatch)).c_str(),
-            workers, intra));
-        engine::SchedulerOptions scheduler;
-        scheduler.worker_threads = workers;
-        scheduler.dispatch = dispatch;
-        scheduler.intra_session_threads = intra;
-        const std::vector<RunOutput> run =
-            RunScheduled(scenario, specs, scheduler);
-        ASSERT_EQ(run.size(), serial.size());
-        for (size_t i = 0; i < serial.size(); ++i) {
-          SCOPED_TRACE("session " + std::to_string(i));
-          EXPECT_EQ(run[i].results_csv, serial[i].results_csv);
-          EXPECT_EQ(run[i].metrics_json, serial[i].metrics_json);
-          ExpectSnapshotsEqual(run[i].snapshot, serial[i].snapshot);
-          // Drop causes partition the dropped count under every policy.
-          int64_t by_cause = 0;
-          for (const auto& [name, value] : run[i].snapshot.counters) {
-            if (name.rfind("stream.", 0) == 0 &&
-                name.find(".dropped.") != std::string::npos) {
-              by_cause += value;
-            }
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t intra : {size_t{1}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE(StringPrintf("workers=%zu intra=%zu", workers, intra));
+      engine::SchedulerOptions scheduler;
+      scheduler.worker_threads = workers;
+      scheduler.intra_session_threads = intra;
+      const std::vector<RunOutput> run =
+          RunScheduled(scenario, specs, scheduler);
+      ASSERT_EQ(run.size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE("session " + std::to_string(i));
+        EXPECT_EQ(run[i].results_csv, serial[i].results_csv);
+        EXPECT_EQ(run[i].metrics_json, serial[i].metrics_json);
+        ExpectSnapshotsEqual(run[i].snapshot, serial[i].snapshot);
+        // Drop causes partition the dropped count at every setting.
+        int64_t by_cause = 0;
+        for (const auto& [name, value] : run[i].snapshot.counters) {
+          if (name.rfind("stream.", 0) == 0 &&
+              name.find(".dropped.") != std::string::npos) {
+            by_cause += value;
           }
-          EXPECT_EQ(by_cause, run[i].snapshot.core.tuples_dropped);
         }
+        EXPECT_EQ(by_cause, run[i].snapshot.core.tuples_dropped);
       }
     }
   }
 }
 
-TEST(SkewedTenantEquivalence, ParallelMinRowsIsPerfOnlyUnderSweep) {
-  // The morsel floor gates *when* kernels split, never what they emit:
-  // flipping it between "always split" and "never split" must not move
-  // a byte, even with stealing and morsel helpers on.
-  const workload::Scenario scenario = OverloadScenario(5);
-  const std::vector<QuerySpec> specs = SkewedQueries(scenario, 2);
-  engine::SchedulerOptions scheduler;
-  scheduler.worker_threads = 2;
-  scheduler.dispatch = engine::DispatchMode::kStealing;
-  scheduler.intra_session_threads = 4;
-  scheduler.parallel_min_rows = 0;  // split whenever >= 2 morsels exist
-  const std::vector<RunOutput> split =
-      RunScheduled(scenario, specs, scheduler);
-  scheduler.parallel_min_rows = SIZE_MAX;  // never split
-  const std::vector<RunOutput> unsplit =
-      RunScheduled(scenario, specs, scheduler);
-  ASSERT_EQ(split.size(), unsplit.size());
-  for (size_t i = 0; i < split.size(); ++i) {
-    SCOPED_TRACE("session " + std::to_string(i));
-    EXPECT_EQ(split[i].results_csv, unsplit[i].results_csv);
-    EXPECT_EQ(split[i].metrics_json, unsplit[i].metrics_json);
-    ExpectSnapshotsEqual(split[i].snapshot, unsplit[i].snapshot);
-  }
-}
-
 TEST(SkewedTenantEquivalence, QuiesceUnderStealingKeepsLifecycleExact) {
-  // Unregister and snapshot must quiesce cleanly while stealing workers
-  // and morsel helpers are live: the drained tenant matches a
-  // standalone engine fed its prefix, the snapshot round-trips into a
+  // Unregister and snapshot must quiesce cleanly while workers and
+  // morsel helpers are live: the drained tenant matches a standalone
+  // engine fed its prefix, the snapshot round-trips into a
   // same-scheduler server byte-identically, and the resident giant is
   // untouched by either operation.
   const workload::Scenario scenario = OverloadScenario();
@@ -1192,7 +1165,6 @@ TEST(SkewedTenantEquivalence, QuiesceUnderStealingKeepsLifecycleExact) {
 
   engine::StreamServerOptions options;
   options.scheduler.worker_threads = 4;
-  options.scheduler.dispatch = engine::DispatchMode::kStealing;
   options.scheduler.intra_session_threads = 2;
   StreamServer server(scenario.catalog, options);
   std::vector<SessionId> ids;
@@ -1203,7 +1175,7 @@ TEST(SkewedTenantEquivalence, QuiesceUnderStealingKeepsLifecycleExact) {
   }
   ASSERT_TRUE(server.PushBatch(events.subspan(0, half)).ok());
 
-  // Mid-run, under live stealing: snapshot the giant, retire a tenant.
+  // Mid-run, with workers live: snapshot the giant, retire a tenant.
   auto snapshot = server.SnapshotSession(ids[0]);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   ASSERT_TRUE(server.UnregisterQuery(ids[1]).ok());
