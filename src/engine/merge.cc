@@ -16,91 +16,6 @@ namespace {
 constexpr size_t kMergeSlotBytes = 24;
 constexpr size_t kMergeAccumulatorBytes = 32;
 
-/// Column-at-a-time AccumulateExact: one batch conversion, whole-column
-/// group hashing, then per-aggregate accumulation sweeps. Hashes, group
-/// equality, and the per-(group, aggregate) floating-point update order
-/// all replicate the row-at-a-time loop exactly.
-synopsis::GroupedEstimate AccumulateExactVectorized(
-    const exec::Relation& spj_rows, const AggregationSpec& spec,
-    mem::ScopedCharge* charge) {
-  const size_t n = spj_rows.size();
-  const size_t stride = spec.agg_columns.size();
-  const auto batch = exec::ColumnBatch::FromRelation(spj_rows);
-
-  std::vector<const exec::Column*> group_cols;
-  group_cols.reserve(spec.group_columns.size());
-  for (size_t g : spec.group_columns) group_cols.push_back(&batch->col(g));
-  std::vector<uint64_t> hashes;
-  exec::HashRows(group_cols, nullptr, n, &hashes);
-
-  struct Staged {
-    uint32_t repr_row = 0;
-    uint32_t id = 0;
-  };
-  FlatTable<Staged> staged;
-  staged.SetCapacityObserver([charge](size_t old_slots, size_t new_slots) {
-    charge->Add((new_slots - old_slots) * kMergeSlotBytes);
-  });
-  std::vector<uint32_t> group_of(n);
-  std::vector<uint32_t> repr_rows;
-  for (size_t i = 0; i < n; ++i) {
-    auto [entry, inserted] = staged.FindOrEmplace(
-        hashes[i],
-        [&](const Staged& s) {
-          for (const exec::Column* col : group_cols) {
-            if (!exec::ColumnsEqualAt(*col, s.repr_row, *col, i)) {
-              return false;
-            }
-          }
-          return true;
-        },
-        [&] {
-          charge->Add(stride * kMergeAccumulatorBytes);
-          Staged s{static_cast<uint32_t>(i),
-                   static_cast<uint32_t>(repr_rows.size())};
-          repr_rows.push_back(static_cast<uint32_t>(i));
-          return s;
-        });
-    group_of[i] = entry->id;
-  }
-
-  std::vector<synopsis::AggAccumulator> arena(repr_rows.size() * stride);
-  for (size_t a = 0; a < stride; ++a) {
-    if (spec.agg_columns[a] == synopsis::kCountOnlyColumn) {
-      for (size_t i = 0; i < n; ++i) {
-        arena[group_of[i] * stride + a].count += 1.0;
-      }
-      continue;
-    }
-    const exec::Column& col = batch->col(spec.agg_columns[a]);
-    if (!col.is_string() && col.clean()) {
-      const double* f = col.f64.data();
-      for (size_t i = 0; i < n; ++i) {
-        arena[group_of[i] * stride + a].Add(f[i], 1.0);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        arena[group_of[i] * stride + a].Add(col.ValueAt(i).AsDouble(), 1.0);
-      }
-    }
-  }
-
-  synopsis::GroupedEstimate groups;
-  for (size_t g = 0; g < repr_rows.size(); ++g) {
-    std::vector<Value> key;
-    key.reserve(spec.group_columns.size());
-    for (size_t gc : spec.group_columns) {
-      key.push_back(batch->col(gc).ValueAt(repr_rows[g]));
-    }
-    groups.emplace(std::move(key),
-                   std::vector<synopsis::AggAccumulator>(
-                       arena.begin() + static_cast<ptrdiff_t>(g * stride),
-                       arena.begin() +
-                           static_cast<ptrdiff_t>((g + 1) * stride)));
-  }
-  return groups;
-}
-
 }  // namespace
 
 Result<AggregationSpec> MakeAggregationSpec(const plan::BoundQuery& query) {
@@ -123,12 +38,14 @@ synopsis::GroupedEstimate AccumulateExact(const exec::Relation& spj_rows,
                                           const AggregationSpec& spec,
                                           bool vectorized,
                                           mem::SessionAccount* account) {
+  if (vectorized) {
+    return AccumulateExact(
+        exec::BatchView{exec::ColumnBatch::FromRelation(spj_rows), nullptr},
+        spec, account);
+  }
   // The scoped charge drains when the call returns: merge state is
   // transient, so only the gauge high-watermark records it.
   mem::ScopedCharge charge(account, mem::Component::kMergeState);
-  if (vectorized && !spj_rows.empty()) {
-    return AccumulateExactVectorized(spj_rows, spec, &charge);
-  }
   // Stage groups in a flat table keyed by borrowed rows, then build the
   // ordered GroupedEstimate once per distinct group: the per-row cost is
   // a hash plus an in-place comparison, not a key-vector construction.
@@ -176,6 +93,100 @@ synopsis::GroupedEstimate AccumulateExact(const exec::Relation& spj_rows,
                        arena.begin() +
                            static_cast<ptrdiff_t>(s.offset + stride)));
   });
+  return groups;
+}
+
+synopsis::GroupedEstimate AccumulateExact(const exec::BatchView& spj_view,
+                                          const AggregationSpec& spec,
+                                          mem::SessionAccount* account) {
+  // Column-at-a-time: whole-column group hashing, then per-aggregate
+  // accumulation sweeps. Domain position i (the i-th selected row) fixes
+  // the hash, group-creation, and update order; cells are read at its
+  // absolute row RowIndex(i). Hashes, group equality, and the per-(group,
+  // aggregate) floating-point update order all replicate the
+  // row-at-a-time loop over the view's rows exactly.
+  mem::ScopedCharge charge(account, mem::Component::kMergeState);
+  const size_t n = spj_view.size();
+  if (n == 0) return {};  // an empty view may have no batch at all
+  const exec::ColumnBatch& batch = *spj_view.batch;
+  const uint32_t* rows =
+      spj_view.sel == nullptr ? nullptr : spj_view.sel->data();
+  const size_t stride = spec.agg_columns.size();
+
+  std::vector<const exec::Column*> group_cols;
+  group_cols.reserve(spec.group_columns.size());
+  for (size_t g : spec.group_columns) group_cols.push_back(&batch.col(g));
+  std::vector<uint64_t> hashes;
+  exec::HashRows(group_cols, rows, n, &hashes);
+
+  struct Staged {
+    uint32_t repr_row = 0;
+    uint32_t id = 0;
+  };
+  FlatTable<Staged> staged;
+  staged.SetCapacityObserver([&charge](size_t old_slots, size_t new_slots) {
+    charge.Add((new_slots - old_slots) * kMergeSlotBytes);
+  });
+  std::vector<uint32_t> group_of(n);
+  std::vector<uint32_t> repr_rows;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = spj_view.RowIndex(i);
+    auto [entry, inserted] = staged.FindOrEmplace(
+        hashes[i],
+        [&](const Staged& s) {
+          for (const exec::Column* col : group_cols) {
+            if (!exec::ColumnsEqualAt(*col, s.repr_row, *col, row)) {
+              return false;
+            }
+          }
+          return true;
+        },
+        [&] {
+          charge.Add(stride * kMergeAccumulatorBytes);
+          Staged s{row, static_cast<uint32_t>(repr_rows.size())};
+          repr_rows.push_back(row);
+          return s;
+        });
+    group_of[i] = entry->id;
+  }
+
+  std::vector<synopsis::AggAccumulator> arena(repr_rows.size() * stride);
+  for (size_t a = 0; a < stride; ++a) {
+    if (spec.agg_columns[a] == synopsis::kCountOnlyColumn) {
+      for (size_t i = 0; i < n; ++i) {
+        arena[group_of[i] * stride + a].count += 1.0;
+      }
+      continue;
+    }
+    const exec::Column& col = batch.col(spec.agg_columns[a]);
+    if (!col.is_string() && !col.has_cross_class) {
+      // Same-class exceptions keep their promotion in f64, which is
+      // exactly Value::AsDouble().
+      const double* f = col.f64.data();
+      for (size_t i = 0; i < n; ++i) {
+        arena[group_of[i] * stride + a].Add(f[spj_view.RowIndex(i)], 1.0);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        arena[group_of[i] * stride + a].Add(
+            col.ValueAt(spj_view.RowIndex(i)).AsDouble(), 1.0);
+      }
+    }
+  }
+
+  synopsis::GroupedEstimate groups;
+  for (size_t g = 0; g < repr_rows.size(); ++g) {
+    std::vector<Value> key;
+    key.reserve(spec.group_columns.size());
+    for (size_t gc : spec.group_columns) {
+      key.push_back(batch.col(gc).ValueAt(repr_rows[g]));
+    }
+    groups.emplace(std::move(key),
+                   std::vector<synopsis::AggAccumulator>(
+                       arena.begin() + static_cast<ptrdiff_t>(g * stride),
+                       arena.begin() +
+                           static_cast<ptrdiff_t>((g + 1) * stride)));
+  }
   return groups;
 }
 

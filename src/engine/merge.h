@@ -29,9 +29,10 @@ Result<AggregationSpec> MakeAggregationSpec(const plan::BoundQuery& query);
 /// Aggregates exact SPJ rows into per-group accumulators, mirroring what
 /// Synopsis::EstimateGroups produces for the shadow side so the two merge
 /// additively. With `vectorized` the rows are converted to a column batch
-/// first and grouped/accumulated column-at-a-time; the result is
+/// and handed to the BatchView overload below; the result is
 /// byte-identical (same hashes, same per-group accumulation order), so
-/// the flag affects speed only.
+/// the flag affects speed only. Without it, a row-at-a-time loop runs:
+/// the reference the columnar kernel is tested against.
 ///
 /// When `account` is set, the transient group table and accumulator
 /// arena are charged to Component::kMergeState for the duration of the
@@ -42,6 +43,17 @@ Result<AggregationSpec> MakeAggregationSpec(const plan::BoundQuery& query);
 synopsis::GroupedEstimate AccumulateExact(
     const exec::Relation& spj_rows, const AggregationSpec& spec,
     bool vectorized = false, mem::SessionAccount* account = nullptr);
+
+/// The columnar accumulate kernel: groups and accumulates the rows
+/// `spj_view` selects, in selection order, straight from the vectorized
+/// executor's output (VectorEvaluator::EvaluateView), so no SPJ row is
+/// materialized. The result and the kMergeState charge sequence are
+/// byte-identical to the Relation overload over `spj_view.ToRelation()`.
+/// String cells are read through the view's borrowed pointers: whatever
+/// owns them (the evaluator's provider) must outlive the call.
+synopsis::GroupedEstimate AccumulateExact(const exec::BatchView& spj_view,
+                                          const AggregationSpec& spec,
+                                          mem::SessionAccount* account);
 
 /// Adds `src`'s accumulators into `dst` group-wise.
 void MergeGroupedEstimates(synopsis::GroupedEstimate* dst,

@@ -360,21 +360,26 @@ Result<RelationView> Evaluator::EvaluateScan(const LogicalPlan& plan) {
   return RelationView::Borrow(it->second);
 }
 
+bool UsesVectorizedPath(const LogicalPlan& plan,
+                        const RelationProvider& inputs,
+                        const EvalOptions& options) {
+  // Pattern plans have no vectorized kernel yet; force the scalar path so
+  // the exec-mode-flip oracle holds trivially for MATCH queries.
+  if (!options.vectorized || plan.ContainsPattern()) return false;
+  size_t total_rows = 0;
+  for (const auto& [key, rel] : inputs) total_rows += rel.size();
+  return total_rows >= options.min_rows;
+}
+
 Result<Relation> EvaluatePlan(const LogicalPlan& plan,
                               const RelationProvider& inputs,
                               ExecStats* stats, const EvalOptions& options) {
-  // Pattern plans have no vectorized kernel yet; force the scalar path so
-  // the exec-mode-flip oracle holds trivially for MATCH queries.
-  if (options.vectorized && !plan.ContainsPattern()) {
-    size_t total_rows = 0;
-    for (const auto& [key, rel] : inputs) total_rows += rel.size();
-    if (total_rows >= options.min_rows) {
-      VectorEvaluator evaluator(&inputs, options.pool,
-                                options.parallel_min_rows);
-      DT_ASSIGN_OR_RETURN(Relation result, evaluator.Evaluate(plan));
-      if (stats != nullptr) *stats += evaluator.stats();
-      return result;
-    }
+  if (UsesVectorizedPath(plan, inputs, options)) {
+    VectorEvaluator evaluator(&inputs, options.pool,
+                              options.parallel_min_rows);
+    DT_ASSIGN_OR_RETURN(Relation result, evaluator.Evaluate(plan));
+    if (stats != nullptr) *stats += evaluator.stats();
+    return result;
   }
   Evaluator evaluator(&inputs);
   DT_ASSIGN_OR_RETURN(Relation result, evaluator.Evaluate(plan));

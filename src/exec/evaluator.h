@@ -116,9 +116,19 @@ Result<RelationView> Aggregate(const plan::LogicalPlan& plan,
 
 }  // namespace scalar
 
-/// One-shot convenience wrapper. With `options.vectorized` the plan runs
-/// on the column-major executor (vector_eval.h); the output is
-/// byte-identical either way.
+/// The executor path rule: true when `plan` over `inputs` runs on the
+/// column-major executor (vector_eval.h) — `options.vectorized`, no
+/// pattern operator (MATCH has no vectorized kernel), and at least
+/// `options.min_rows` input tuples in total. EvaluatePlan follows it, and
+/// so must any caller that drives VectorEvaluator directly to keep the
+/// batch output columnar.
+bool UsesVectorizedPath(const plan::LogicalPlan& plan,
+                        const RelationProvider& inputs,
+                        const EvalOptions& options);
+
+/// One-shot convenience wrapper. Runs the plan on the executor
+/// UsesVectorizedPath picks and materializes the output rows; the output
+/// is byte-identical either way.
 Result<Relation> EvaluatePlan(const plan::LogicalPlan& plan,
                               const RelationProvider& inputs,
                               ExecStats* stats = nullptr,

@@ -49,12 +49,18 @@ class VectorEvaluator {
   /// Evaluates `plan`; the result's column order matches plan.schema().
   Result<Relation> Evaluate(const plan::LogicalPlan& plan);
 
+  /// Evaluates `plan` without materializing its output: the view's
+  /// selected rows, in order, are exactly the rows Evaluate returns, and
+  /// stats() is charged identically. The view's string cells may borrow
+  /// from the provider's tuples, so `*inputs` must outlive every use of
+  /// the view (the view itself keeps its batches alive, not the
+  /// provider).
+  Result<BatchView> EvaluateView(const plan::LogicalPlan& plan);
+
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
-  Result<BatchView> EvaluateView(const plan::LogicalPlan& plan);
-
   Result<BatchView> EvaluateScan(const plan::LogicalPlan& plan);
 
   const RelationProvider* inputs_;

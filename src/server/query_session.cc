@@ -8,6 +8,7 @@
 #include "src/common/serde.h"
 #include "src/common/string_util.h"
 #include "src/exec/evaluator.h"
+#include "src/exec/vector_eval.h"
 #include "src/rewrite/shadow_plan.h"
 #include "src/synopsis/serde.h"
 #include "src/tuple/serde.h"
@@ -551,19 +552,36 @@ Status QuerySession::EmitWindow(WindowId window) {
       lane->dropped_counts.erase(dropped_it);
     }
   }
-  // Aggregate queries need the raw SPJ rows for the merge accumulators;
-  // non-aggregate queries evaluate their full output plan (projection or
-  // computed projection included).
+  // Aggregate queries feed the SPJ core's output to the merge
+  // accumulators; non-aggregate queries evaluate their full output plan
+  // (projection or computed projection included).
   const plan::LogicalPlan& exact_plan =
       query.has_aggregate ? *triaged_.kept_plan
                           : *triaged_.kept_output_plan;
+  const exec::EvalOptions eval_options{config_.vectorized_exec,
+                                       config_.vectorized_min_rows,
+                                       task_pool_, 0};
+  // On the vectorized path that SPJ output stays a column view all the
+  // way into the accumulators (DESIGN.md §13.4); rows are built only
+  // where the result needs them (non-aggregate outputs, MATCH, scalar
+  // mode). The view borrows string cells from kept_inputs' tuples, so
+  // kept_inputs must outlive the merge below.
+  const bool columnar_exact =
+      query.has_aggregate &&
+      exec::UsesVectorizedPath(exact_plan, kept_inputs, eval_options);
   exec::ExecStats exec_stats;
-  DT_ASSIGN_OR_RETURN(
-      exec::Relation kept_rows,
-      exec::EvaluatePlan(exact_plan, kept_inputs, &exec_stats,
-                         exec::EvalOptions{config_.vectorized_exec,
-                                           config_.vectorized_min_rows,
-                                           task_pool_, 0}));
+  exec::BatchView kept_view;
+  exec::Relation kept_rows;
+  if (columnar_exact) {
+    exec::VectorEvaluator evaluator(&kept_inputs, eval_options.pool,
+                                    eval_options.parallel_min_rows);
+    DT_ASSIGN_OR_RETURN(kept_view, evaluator.EvaluateView(exact_plan));
+    exec_stats = evaluator.stats();
+  } else {
+    DT_ASSIGN_OR_RETURN(kept_rows,
+                        exec::EvaluatePlan(exact_plan, kept_inputs,
+                                           &exec_stats, eval_options));
+  }
   ChargeExactTime(static_cast<double>(exec_stats.TotalWork()) *
                   config_.cost_model.exact_work_unit_cost);
   // Roll this window's executor accounting into the registry.
@@ -607,8 +625,10 @@ Status QuerySession::EmitWindow(WindowId window) {
   // Merge (paper Fig. 2): exact rows + estimated lost results.
   if (query.has_aggregate) {
     synopsis::GroupedEstimate exact_groups =
-        engine::AccumulateExact(kept_rows, agg_spec_,
-                                config_.vectorized_exec, &account_);
+        columnar_exact
+            ? engine::AccumulateExact(kept_view, agg_spec_, &account_)
+            : engine::AccumulateExact(kept_rows, agg_spec_,
+                                      config_.vectorized_exec, &account_);
     DT_ASSIGN_OR_RETURN(
         result.exact_rows,
         engine::BuildAggregateRows(exact_groups, query, agg_spec_,

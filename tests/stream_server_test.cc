@@ -1213,5 +1213,87 @@ TEST(SkewedTenantEquivalence, QuiesceUnderStealingKeepsLifecycleExact) {
   ExpectSnapshotsEqual(revived.StatsSnapshot(), clean_giant.snapshot);
 }
 
+// --- Columnar exact side (DESIGN.md §13.4) -------------------------------
+
+TEST(ColumnarExactEquivalence, ResidualSelectionMatchesAcrossModesAndWorkers) {
+  // A narrow value domain makes the three-way join big: windows carry
+  // thousands of joined rows, past the 2048-row floor at which the join
+  // gathers its output on the intra-session pool.
+  workload::ScenarioConfig scenario_config;
+  scenario_config.tuples_per_stream = 600;
+  scenario_config.tuples_per_window = 120.0;
+  scenario_config.rate_per_stream = 240.0;
+  scenario_config.normal_spec = {10.0, 3.0, 1.0, 20.0, true};
+  auto scenario = workload::BuildPaperScenario(scenario_config);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  const double w = scenario->window_seconds;
+  // T.d > R.a spans two streams, so the binder places it in a Filter
+  // above the joins: the SPJ output that reaches the accumulators is a
+  // view carrying a selection vector.
+  const std::string sql = StringPrintf(
+      "SELECT a, COUNT(*) as count, SUM(d) as total FROM R,S,T "
+      "WHERE R.a = S.b AND S.c = T.d AND T.d > R.a GROUP BY a; "
+      "WINDOW R['%.9f seconds'], S['%.9f seconds'], T['%.9f seconds'];",
+      w, w, w);
+  ASSERT_EQ(testing::MustBind(sql, scenario->catalog).spj_core->kind(),
+            plan::LogicalPlan::Kind::kFilter);
+
+  struct Run {
+    std::string label;
+    std::string results_csv;
+    std::string metrics_json;
+    int64_t dropped = 0;
+    int64_t max_window_rows = 0;
+  };
+  std::vector<Run> runs;
+  for (bool vectorized : {true, false}) {
+    for (size_t threads : {size_t{0}, size_t{2}}) {
+      EngineConfig config;
+      config.strategy = SheddingStrategy::kDataTriage;
+      config.queue_capacity = 100;
+      config.synopsis.type = synopsis::SynopsisType::kGridHistogram;
+      config.synopsis.grid.cell_width = 4.0;
+      config.cost_model.exact_tuple_cost = 1.0 / 500.0;
+      config.vectorized_exec = vectorized;
+      engine::StreamServerOptions options;
+      options.scheduler.worker_threads = threads;
+      options.scheduler.intra_session_threads = threads;
+      StreamServer server(scenario->catalog, options);
+      auto id = server.RegisterQuery(sql, config);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_TRUE(server.PushBatch(scenario->events).ok());
+      ASSERT_TRUE(server.Finish().ok());
+      QuerySession& session = server.session(*id);
+      const std::vector<WindowResult> results = session.TakeResults();
+      Run run;
+      run.label = StringPrintf("vectorized=%d workers=intra=%zu", vectorized,
+                               threads);
+      for (const WindowResult& result : results) {
+        // A window's exact COUNT(*)s sum to the joined rows that passed
+        // the residual: the rows the accumulators saw.
+        int64_t rows = 0;
+        for (const Tuple& row : result.exact_rows) {
+          rows += row.value(1).int64();
+        }
+        run.max_window_rows = std::max(run.max_window_rows, rows);
+      }
+      run.results_csv = io::FormatResultsCsv(results, {"a", "count", "total"});
+      run.metrics_json =
+          obs::MetricsJson(session.metrics(), &session.trace());
+      run.dropped = session.StatsSnapshot().core.tuples_dropped;
+      runs.push_back(std::move(run));
+    }
+  }
+
+  const Run& reference = runs.front();
+  EXPECT_GT(reference.dropped, 0) << "the run must be overloaded";
+  EXPECT_GE(reference.max_window_rows, 2048);
+  for (size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE(runs[i].label + " vs " + reference.label);
+    EXPECT_EQ(runs[i].results_csv, reference.results_csv);
+    EXPECT_EQ(runs[i].metrics_json, reference.metrics_json);
+  }
+}
+
 }  // namespace
 }  // namespace datatriage::server
