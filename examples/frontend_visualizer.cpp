@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,14 +110,14 @@ int main() {
         result.result_synopsis.get());
     if (grid == nullptr) continue;
     const double w = grid->cell_width();
-    for (const auto& [coords, count] : grid->cells()) {
+    grid->ForEachCell([&](std::span<const int64_t> coords, double count) {
       std::printf("rect,%lld,%.1f,%.1f,%.1f,%.1f,%.2f\n",
                   static_cast<long long>(result.window),
                   static_cast<double>(coords[0]) * w,
                   static_cast<double>(coords[1]) * w,
                   static_cast<double>(coords[0] + 1) * w,
                   static_cast<double>(coords[1] + 1) * w, count);
-    }
+    });
   }
   return 0;
 }

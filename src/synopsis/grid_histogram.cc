@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
+#include <numeric>
 
 #include "src/common/mem_accounting.h"
 #include "src/common/serde.h"
@@ -10,6 +12,65 @@
 namespace datatriage::synopsis {
 
 namespace {
+
+/// Cell keys of up to this many columns live on the stack.
+constexpr size_t kStackArity = 16;
+
+/// Room for one cell key of `arity` coordinates; heap-free for the
+/// arities real stream schemas have.
+class KeyBuffer {
+ public:
+  explicit KeyBuffer(size_t arity) {
+    if (arity > kStackArity) heap_.resize(arity);
+  }
+  int64_t* data() { return heap_.empty() ? stack_ : heap_.data(); }
+
+ private:
+  int64_t stack_[kStackArity] = {};
+  std::vector<int64_t> heap_;
+};
+
+/// Lexicographic order of two `n`-coordinate cell keys (the order of
+/// std::vector<int64_t>).
+std::strong_ordering CompareCoords(const int64_t* a, const int64_t* b,
+                                   size_t n) {
+  for (size_t d = 0; d < n; ++d) {
+    if (a[d] != b[d]) return a[d] <=> b[d];
+  }
+  return std::strong_ordering::equal;
+}
+
+bool CoordsLess(const int64_t* a, const int64_t* b, size_t n) {
+  return CompareCoords(a, b, n) < 0;
+}
+
+/// Index of the first of `n` ascending `width`-coordinate rows at `rows`
+/// that is not less than `key`.
+size_t LowerBoundRow(const int64_t* rows, size_t n, size_t width,
+                     const int64_t* key) {
+  size_t lo = 0;
+  size_t hi = n;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (CoordsLess(rows + mid * width, key, width)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// CellCoord divides by the width and casts the quotient to int64, so
+/// anything but a finite positive width is undefined behaviour there.
+Status CheckCellWidth(double cell_width) {
+  if (!std::isfinite(cell_width) || cell_width <= 0) {
+    return Status::InvalidArgument(StringPrintf(
+        "grid histogram cell_width must be finite and > 0, got %g",
+        cell_width));
+  }
+  return Status::OK();
+}
 
 /// Integer points covered by cell `coord` along a dimension of width `w`:
 /// [ceil(coord*w), ceil((coord+1)*w) - 1].
@@ -29,14 +90,27 @@ void IntegerPointsInCell(int64_t coord, double w,
 Result<SynopsisPtr> GridHistogram::Make(Schema schema,
                                         const GridHistogramConfig& config) {
   DT_RETURN_IF_ERROR(CheckNumericSchema(schema));
-  if (config.cell_width <= 0) {
-    return Status::InvalidArgument("grid histogram cell_width must be > 0");
-  }
+  DT_RETURN_IF_ERROR(CheckCellWidth(config.cell_width));
   return SynopsisPtr(new GridHistogram(std::move(schema), config));
 }
 
 int64_t GridHistogram::CellCoord(double value) const {
   return static_cast<int64_t>(std::floor(value / config_.cell_width));
+}
+
+void GridHistogram::CellOf(const Tuple& tuple, int64_t* key) const {
+  for (size_t i = 0; i < arity(); ++i) {
+    key[i] = CellCoord(tuple.value(i).AsDouble());
+  }
+}
+
+size_t GridHistogram::LowerBound(const int64_t* key) const {
+  return LowerBoundRow(coords_.data(), counts_.size(), arity(), key);
+}
+
+void GridHistogram::AppendCell(const int64_t* coords, double count) {
+  coords_.insert(coords_.end(), coords, coords + arity());
+  counts_.push_back(count);
 }
 
 double GridHistogram::ValuesPerCell() const {
@@ -48,35 +122,35 @@ double GridHistogram::CellMidpoint(int64_t coord) const {
 }
 
 size_t GridHistogram::MemoryBytes() const {
-  // One map node per occupied cell: coordinate vector + count.
+  // The accountant's frozen model (DESIGN.md §15.2, §18): one ordered-map
+  // node per occupied cell holding a coordinate vector and a count. It is
+  // not the flat arrays' footprint; memory-triggered folds depend on it.
   const size_t per_cell = mem::kMapNodeBytes + mem::kVectorHeaderBytes +
-                          8 * schema_.num_fields() + 8;
-  return mem::kSynopsisBaseBytes + cells_.size() * per_cell;
+                          8 * arity() + 8;
+  return mem::kSynopsisBaseBytes + counts_.size() * per_cell;
 }
 
 void GridHistogram::Insert(const Tuple& tuple) {
-  DT_CHECK_EQ(tuple.size(), schema_.num_fields());
-  std::vector<int64_t> coords;
-  coords.reserve(tuple.size());
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    coords.push_back(CellCoord(tuple.value(i).AsDouble()));
+  DT_CHECK_EQ(tuple.size(), arity());
+  KeyBuffer key(arity());
+  CellOf(tuple, key.data());
+  const size_t pos = LowerBound(key.data());
+  if (pos < counts_.size() &&
+      CompareCoords(CellAt(pos), key.data(), arity()) == 0) {
+    counts_[pos] += 1.0;
+  } else {
+    coords_.insert(coords_.begin() + pos * arity(), key.data(),
+                   key.data() + arity());
+    counts_.insert(counts_.begin() + pos, 1.0);
   }
-  cells_[coords] += 1.0;
   total_count_ += 1.0;
-}
-
-void GridHistogram::AddCell(const std::vector<int64_t>& coords,
-                            double count) {
-  DT_CHECK_EQ(coords.size(), schema_.num_fields());
-  if (count <= 0) return;
-  cells_[coords] += count;
-  total_count_ += count;
 }
 
 SynopsisPtr GridHistogram::Clone() const {
   auto clone =
       std::unique_ptr<GridHistogram>(new GridHistogram(schema_, config_));
-  clone->cells_ = cells_;
+  clone->coords_ = coords_;
+  clone->counts_ = counts_;
   clone->total_count_ = total_count_;
   return clone;
 }
@@ -97,17 +171,35 @@ Result<SynopsisPtr> GridHistogram::UnionAllWith(const Synopsis& other,
   if (rhs.schema_.num_fields() != schema_.num_fields()) {
     return Status::InvalidArgument("union of different-arity histograms");
   }
+  // One merge of the two ascending cell lists.
   auto result =
       std::unique_ptr<GridHistogram>(new GridHistogram(schema_, config_));
-  result->cells_ = cells_;
+  const size_t n = counts_.size();
+  const size_t m = rhs.counts_.size();
+  result->coords_.reserve(coords_.size() + rhs.coords_.size());
+  result->counts_.reserve(n + m);
+  size_t i = 0;
+  size_t j = 0;
+  while (i < n || j < m) {
+    const std::strong_ordering order =
+        i == n   ? std::strong_ordering::greater
+        : j == m ? std::strong_ordering::less
+                 : CompareCoords(CellAt(i), rhs.CellAt(j), arity());
+    if (order < 0) {
+      result->AppendCell(CellAt(i), counts_[i]);
+      ++i;
+    } else if (order > 0) {
+      result->AppendCell(rhs.CellAt(j), 0.0 + rhs.counts_[j]);
+      ++j;
+    } else {
+      result->AppendCell(CellAt(i), counts_[i] + rhs.counts_[j]);
+      ++i;
+      ++j;
+    }
+  }
   result->total_count_ = total_count_;
-  for (const auto& [coords, count] : rhs.cells_) {
-    result->cells_[coords] += count;
-    result->total_count_ += count;
-  }
-  if (stats != nullptr) {
-    stats->work += static_cast<int64_t>(cells_.size() + rhs.cells_.size());
-  }
+  for (const double count : rhs.counts_) result->total_count_ += count;
+  if (stats != nullptr) stats->work += static_cast<int64_t>(n + m);
   return SynopsisPtr(std::move(result));
 }
 
@@ -137,7 +229,6 @@ Result<SynopsisPtr> GridHistogram::EquiJoinWith(
     return s;
   }());
 
-  // Index the right side's cells by their join-key coordinates.
   std::vector<size_t> left_keys, right_keys;
   for (const auto& [l, r] : keys) {
     if (l >= schema_.num_fields() || r >= rhs.schema_.num_fields()) {
@@ -146,14 +237,25 @@ Result<SynopsisPtr> GridHistogram::EquiJoinWith(
     left_keys.push_back(l);
     right_keys.push_back(r);
   }
-  std::map<std::vector<int64_t>,
-           std::vector<const std::pair<const std::vector<int64_t>, double>*>>
-      index;
-  for (const auto& entry : rhs.cells_) {
-    std::vector<int64_t> key_coords;
-    key_coords.reserve(right_keys.size());
-    for (size_t k : right_keys) key_coords.push_back(entry.first[k]);
-    index[std::move(key_coords)].push_back(&entry);
+  // Index the right side's cells by their join-key coordinates. The stable
+  // sort keeps cells with equal keys in ascending coordinate order, so
+  // each left cell's matches append in ascending output order.
+  const size_t nk = keys.size();
+  const size_t m = rhs.counts_.size();
+  std::vector<int64_t> rkeys(m * nk);
+  for (size_t j = 0; j < m; ++j) {
+    const int64_t* rcoords = rhs.CellAt(j);
+    for (size_t k = 0; k < nk; ++k) rkeys[j * nk + k] = rcoords[right_keys[k]];
+  }
+  std::vector<size_t> by_key(m);
+  std::iota(by_key.begin(), by_key.end(), size_t{0});
+  std::stable_sort(by_key.begin(), by_key.end(), [&](size_t a, size_t b) {
+    return CoordsLess(rkeys.data() + a * nk, rkeys.data() + b * nk, nk);
+  });
+  std::vector<int64_t> sorted_keys(m * nk);
+  for (size_t j = 0; j < m; ++j) {
+    std::copy_n(rkeys.data() + by_key[j] * nk, nk,
+                sorted_keys.data() + j * nk);
   }
 
   // Within a matching cell pair, assume uniformity: each of the w distinct
@@ -164,24 +266,30 @@ Result<SynopsisPtr> GridHistogram::EquiJoinWith(
   const double selectivity =
       std::pow(1.0 / ValuesPerCell(), static_cast<double>(keys.size()));
 
+  // Left cells ascend and each one's matches ascend, so appending the
+  // concatenated coordinates keeps the output sorted; every output cell
+  // gets exactly one contribution.
   auto result = std::unique_ptr<GridHistogram>(
       new GridHistogram(joined_schema, config_));
-  int64_t work = static_cast<int64_t>(rhs.cells_.size());
-  for (const auto& [lcoords, lcount] : cells_) {
+  std::vector<int64_t>& out = result->coords_;
+  std::vector<int64_t> lkey(nk);
+  int64_t work = static_cast<int64_t>(m);
+  for (size_t i = 0; i < counts_.size(); ++i) {
     ++work;
-    std::vector<int64_t> key_coords;
-    key_coords.reserve(left_keys.size());
-    for (size_t k : left_keys) key_coords.push_back(lcoords[k]);
-    auto it = index.find(key_coords);
-    if (it == index.end()) continue;
-    for (const auto* rentry : it->second) {
+    const int64_t* lcoords = CellAt(i);
+    for (size_t k = 0; k < nk; ++k) lkey[k] = lcoords[left_keys[k]];
+    for (size_t j = LowerBoundRow(sorted_keys.data(), m, nk, lkey.data());
+         j < m &&
+         CompareCoords(sorted_keys.data() + j * nk, lkey.data(), nk) == 0;
+         ++j) {
       ++work;
-      std::vector<int64_t> coords = lcoords;
-      coords.insert(coords.end(), rentry->first.begin(),
-                    rentry->first.end());
-      const double count = lcount * rentry->second * selectivity;
+      const size_t r = by_key[j];
+      const double count = counts_[i] * rhs.counts_[r] * selectivity;
       if (count <= 0) continue;
-      result->cells_[std::move(coords)] += count;
+      const int64_t* rcoords = rhs.CellAt(r);
+      out.insert(out.end(), lcoords, lcoords + arity());
+      out.insert(out.end(), rcoords, rcoords + rhs.arity());
+      result->counts_.push_back(0.0 + count);
       result->total_count_ += count;
     }
   }
@@ -207,14 +315,34 @@ Result<SynopsisPtr> GridHistogram::ProjectColumns(
   }
   auto result = std::unique_ptr<GridHistogram>(
       new GridHistogram(std::move(projected_schema), config_));
-  for (const auto& [coords, count] : cells_) {
-    std::vector<int64_t> projected;
-    projected.reserve(indices.size());
-    for (size_t i : indices) projected.push_back(coords[i]);
-    result->cells_[std::move(projected)] += count;
-    result->total_count_ += count;
+  const size_t n = counts_.size();
+  const size_t k = indices.size();
+  std::vector<int64_t> projected(n * k);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t* coords = CellAt(i);
+    for (size_t d = 0; d < k; ++d) projected[i * k + d] = coords[indices[d]];
   }
-  if (stats != nullptr) stats->work += static_cast<int64_t>(cells_.size());
+  // The stable sort keeps each run of equal projected keys in input
+  // order, which is the order its counts are summed in.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return CoordsLess(projected.data() + a * k, projected.data() + b * k, k);
+  });
+  for (size_t run = 0; run < n;) {
+    const int64_t* key = projected.data() + order[run] * k;
+    double sum = 0.0;
+    size_t next = run;
+    for (; next < n &&
+           CompareCoords(projected.data() + order[next] * k, key, k) == 0;
+         ++next) {
+      sum += counts_[order[next]];
+    }
+    result->AppendCell(key, sum);
+    run = next;
+  }
+  for (const double count : counts_) result->total_count_ += count;
+  if (stats != nullptr) stats->work += static_cast<int64_t>(n);
   return SynopsisPtr(std::move(result));
 }
 
@@ -224,18 +352,18 @@ Result<SynopsisPtr> GridHistogram::Filter(const plan::BoundExpr& predicate,
   // each cell's midpoint and the whole cell is kept or discarded.
   auto result =
       std::unique_ptr<GridHistogram>(new GridHistogram(schema_, config_));
-  for (const auto& [coords, count] : cells_) {
-    std::vector<Value> midpoint;
-    midpoint.reserve(coords.size());
-    for (size_t i = 0; i < coords.size(); ++i) {
-      midpoint.push_back(Value::Double(CellMidpoint(coords[i])));
+  Tuple midpoint(std::vector<Value>(arity(), Value::Double(0.0)));
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    const int64_t* coords = CellAt(i);
+    for (size_t d = 0; d < arity(); ++d) {
+      midpoint.value(d) = Value::Double(CellMidpoint(coords[d]));
     }
-    if (predicate.EvaluatesToTrue(Tuple(std::move(midpoint)))) {
-      result->cells_[coords] += count;
-      result->total_count_ += count;
+    if (predicate.EvaluatesToTrue(midpoint)) {
+      result->AppendCell(coords, 0.0 + counts_[i]);
+      result->total_count_ += counts_[i];
     }
   }
-  if (stats != nullptr) stats->work += static_cast<int64_t>(cells_.size());
+  if (stats != nullptr) stats->work += static_cast<int64_t>(counts_.size());
   return SynopsisPtr(std::move(result));
 }
 
@@ -255,7 +383,9 @@ Result<GroupedEstimate> GridHistogram::EstimateGroups(
 
   GroupedEstimate groups;
   std::vector<double> dim_points;
-  for (const auto& [coords, count] : cells_) {
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    const int64_t* coords = CellAt(i);
+    const double count = counts_[i];
     // Enumerate the group-coordinate points this cell spreads over:
     // integer-typed columns get one point per covered integer; real-valued
     // columns collapse to the cell midpoint.
@@ -321,14 +451,14 @@ Result<GroupedEstimate> GridHistogram::EstimateGroups(
 }
 
 double GridHistogram::EstimatePointCount(const Tuple& point) const {
-  DT_CHECK_EQ(point.size(), schema_.num_fields());
-  std::vector<int64_t> coords;
-  coords.reserve(point.size());
-  for (size_t i = 0; i < point.size(); ++i) {
-    coords.push_back(CellCoord(point.value(i).AsDouble()));
+  DT_CHECK_EQ(point.size(), arity());
+  KeyBuffer key(arity());
+  CellOf(point, key.data());
+  const size_t pos = LowerBound(key.data());
+  if (pos == counts_.size() ||
+      CompareCoords(CellAt(pos), key.data(), arity()) != 0) {
+    return 0.0;
   }
-  auto it = cells_.find(coords);
-  if (it == cells_.end()) return 0.0;
   // Spread the cell mass uniformly over the integer points it covers.
   double points = 1.0;
   for (size_t i = 0; i < point.size(); ++i) {
@@ -336,34 +466,60 @@ double GridHistogram::EstimatePointCount(const Tuple& point) const {
       points *= ValuesPerCell();
     }
   }
-  return it->second / points;
+  return counts_[pos] / points;
 }
 
 void GridHistogram::SaveState(serde::Writer* writer) const {
   writer->WriteDouble(config_.cell_width);
-  writer->WriteU64(cells_.size());
-  for (const auto& [coords, count] : cells_) {
-    writer->WriteU64(coords.size());
-    for (const int64_t c : coords) writer->WriteI64(c);
-    writer->WriteDouble(count);
+  writer->WriteU64(counts_.size());
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    writer->WriteU64(arity());
+    const int64_t* coords = CellAt(i);
+    for (size_t d = 0; d < arity(); ++d) writer->WriteI64(coords[d]);
+    writer->WriteDouble(counts_[i]);
   }
   writer->WriteDouble(total_count_);
 }
 
 Status GridHistogram::LoadState(serde::Reader* reader) {
-  DT_ASSIGN_OR_RETURN(config_.cell_width, reader->ReadDouble());
-  DT_ASSIGN_OR_RETURN(const uint64_t num_cells, reader->ReadCount(16));
-  cells_.clear();
+  DT_ASSIGN_OR_RETURN(const double cell_width, reader->ReadDouble());
+  if (Status s = CheckCellWidth(cell_width); !s.ok()) {
+    return Status::InvalidArgument("snapshot: " + s.message());
+  }
+  // A cell is its arity word, arity() coordinates and a count.
+  DT_ASSIGN_OR_RETURN(const uint64_t num_cells,
+                      reader->ReadCount(16 + 8 * arity()));
+  std::vector<int64_t> coords;
+  std::vector<double> counts;
+  coords.reserve(num_cells * arity());
+  counts.reserve(num_cells);
   for (uint64_t i = 0; i < num_cells; ++i) {
-    DT_ASSIGN_OR_RETURN(const uint64_t dims, reader->ReadCount(8));
-    std::vector<int64_t> coords(dims);
-    for (uint64_t d = 0; d < dims; ++d) {
-      DT_ASSIGN_OR_RETURN(coords[d], reader->ReadI64());
+    DT_ASSIGN_OR_RETURN(const uint64_t dims, reader->ReadU64());
+    if (dims != arity()) {
+      return Status::InvalidArgument(StringPrintf(
+          "snapshot: grid cell %llu has %llu coordinate(s), schema has %zu",
+          static_cast<unsigned long long>(i),
+          static_cast<unsigned long long>(dims), arity()));
+    }
+    for (size_t d = 0; d < arity(); ++d) {
+      DT_ASSIGN_OR_RETURN(const int64_t c, reader->ReadI64());
+      coords.push_back(c);
+    }
+    // Lookups and merges rely on strictly ascending, duplicate-free cells.
+    if (i > 0 && !CoordsLess(coords.data() + (i - 1) * arity(),
+                             coords.data() + i * arity(), arity())) {
+      return Status::InvalidArgument(StringPrintf(
+          "snapshot: grid cell %llu is not above its predecessor",
+          static_cast<unsigned long long>(i)));
     }
     DT_ASSIGN_OR_RETURN(const double count, reader->ReadDouble());
-    cells_.emplace(std::move(coords), count);
+    counts.push_back(count);
   }
-  DT_ASSIGN_OR_RETURN(total_count_, reader->ReadDouble());
+  DT_ASSIGN_OR_RETURN(const double total_count, reader->ReadDouble());
+  config_.cell_width = cell_width;
+  coords_ = std::move(coords);
+  counts_ = std::move(counts);
+  total_count_ = total_count;
   return Status::OK();
 }
 
