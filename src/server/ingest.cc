@@ -34,14 +34,17 @@ Result<StreamId> IngestPlane::Find(std::string_view name) const {
                           "' is not read by any registered query");
 }
 
-const std::string& IngestPlane::NameOf(StreamId id) const {
-  DT_CHECK(id < streams_.size());
-  return streams_[id].name;
+Status IngestPlane::CheckId(StreamId id) const {
+  if (id < streams_.size()) return Status::OK();
+  return Status::NotFound(StringPrintf(
+      "no stream with id %u: %zu stream(s) are interned, ids are dense "
+      "in [0, %zu)",
+      id, streams_.size(), streams_.size()));
 }
 
-const Schema& IngestPlane::SchemaOf(StreamId id) const {
-  DT_CHECK(id < streams_.size());
-  return streams_[id].schema;
+Result<std::string_view> IngestPlane::NameOf(StreamId id) const {
+  DT_RETURN_IF_ERROR(CheckId(id));
+  return std::string_view(streams_[id].name);
 }
 
 Result<StreamLane*> IngestPlane::Subscribe(
@@ -144,7 +147,7 @@ Status IngestPlane::Deliver(StreamEntry& entry, const Tuple& tuple) {
 }
 
 Status IngestPlane::Push(StreamId stream, const Tuple& tuple) {
-  DT_CHECK(stream < streams_.size());
+  DT_RETURN_IF_ERROR(CheckId(stream));
   StreamEntry& entry = streams_[stream];
   const VirtualTime arrival = tuple.timestamp();
   // Reject non-finite timestamps before any state changes: a NaN would

@@ -123,8 +123,9 @@ class IngestPlane {
   /// Id of an already interned stream, or an error if never interned.
   Result<StreamId> Find(std::string_view name) const;
 
-  const std::string& NameOf(StreamId id) const;
-  const Schema& SchemaOf(StreamId id) const;
+  /// Name of an interned stream; NotFound (naming the valid id range)
+  /// for an id Intern never returned.
+  Result<std::string_view> NameOf(StreamId id) const;
   const Catalog& catalog() const { return catalog_; }
 
   /// Builds a lane for `session` on `stream` — queue, drop policy (with
@@ -154,11 +155,11 @@ class IngestPlane {
   /// True once any arrival was accepted (the arrival clock is live).
   bool saw_arrival() const { return saw_arrival_; }
 
-  /// Validates one arrival (finite timestamp, global timestamp order,
-  /// tuple arity against the stream schema) and delivers it to every
-  /// subscribed lane. An arrival on a stream no session reads is counted
-  /// as unrouted and otherwise ignored. Validation failures leave every
-  /// session untouched.
+  /// Validates one arrival (interned stream id, finite timestamp, global
+  /// timestamp order, tuple arity against the stream schema) and
+  /// delivers it to every subscribed lane. An arrival on a stream no
+  /// session reads is counted as unrouted and otherwise ignored.
+  /// Validation failures leave every session untouched.
   Status Push(StreamId stream, const Tuple& tuple);
 
   /// Name-resolving variant (one interner lookup, then Push by id).
@@ -177,11 +178,14 @@ class IngestPlane {
   Status PushBatch(std::span<const engine::StreamEvent> events);
 
   /// Routing override for parallel execution: when set, every validated
-  /// arrival is handed to `dispatcher` (which enqueues it on the owning
-  /// session's worker) instead of running the lane's session inline.
-  /// Pass nullptr to restore inline delivery. Validation, the arrival
-  /// clock, and plane metrics stay on the pushing thread either way —
-  /// the arrival clock keeps a single writer (DESIGN.md Sec. 11).
+  /// (lane, arrival) pair is handed to `dispatcher` instead of running
+  /// the lane's session inline. The tuple reference is the pushed one —
+  /// into the caller's event, batch or tuple — so a dispatcher that
+  /// defers the work must keep that storage alive (the server drives
+  /// the plane over a shared copy and stages pointers into it). Pass
+  /// nullptr to restore inline delivery. Validation, the arrival clock,
+  /// and plane metrics stay on the pushing thread either way — the
+  /// arrival clock keeps a single writer (DESIGN.md Sec. 11).
   using LaneDispatcher = std::function<Status(StreamLane*, const Tuple&)>;
   void SetDispatcher(LaneDispatcher dispatcher);
 
@@ -216,6 +220,9 @@ class IngestPlane {
   /// The post-validation tail of Push: clock advance, counters, and
   /// delivery to every subscribed lane (via the dispatcher when set).
   Status Deliver(StreamEntry& entry, const Tuple& tuple);
+
+  /// NotFound, naming the valid range, unless `id` was interned.
+  Status CheckId(StreamId id) const;
 
   Catalog catalog_;
   /// deque: stable StreamEntry addresses across Intern calls.

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "src/engine/config.h"
 #include "src/tuple/tuple.h"
 
 namespace datatriage::server {
@@ -13,17 +15,28 @@ namespace datatriage::server {
 class QuerySession;
 struct StreamLane;
 
+/// The one shared, immutable copy of a push's events in parallel mode.
+/// Every task the push enqueues holds a reference, so the copy lives
+/// until the last session reading it has ingested its deliveries.
+using EventBatch = std::vector<engine::StreamEvent>;
+
+/// One validated arrival for one of a session's lanes; `tuple` points
+/// into the EventBatch that the carrying task keeps alive.
+struct Delivery {
+  StreamLane* lane = nullptr;
+  const Tuple* tuple = nullptr;
+};
+
 /// One unit of work handed from the ingest thread to a session's worker.
-/// kIngest delivers a validated arrival to `lane` (the tuple travels by
-/// value: the ingest thread keeps no reference once the task is
-/// enqueued); kFinish runs `session`'s end-of-stream drain on its owning
-/// worker so Finish work parallelizes like ingest work does.
+/// kIngest carries one push's deliveries to `session`, in feed order;
+/// kFinish runs `session`'s end-of-stream drain on its owning worker so
+/// Finish work parallelizes like ingest work does.
 struct WorkerTask {
   enum class Kind : uint8_t { kIngest, kFinish };
   Kind kind = Kind::kIngest;
-  StreamLane* lane = nullptr;       // kIngest only
-  QuerySession* session = nullptr;  // kFinish only
-  Tuple tuple;                      // kIngest only
+  QuerySession* session = nullptr;
+  std::shared_ptr<const EventBatch> batch;  // kIngest only
+  std::vector<Delivery> deliveries;         // kIngest only
 };
 
 /// Bounded single-producer/single-consumer ring of WorkerTasks. The
@@ -41,8 +54,7 @@ class SpscTaskQueue {
   SpscTaskQueue(const SpscTaskQueue&) = delete;
   SpscTaskQueue& operator=(const SpscTaskQueue&) = delete;
 
-  /// Producer side. False when the ring is full (caller backs off and
-  /// retries — backpressure, never loss).
+  /// Producer side. False when the ring is full.
   bool TryPush(WorkerTask&& task);
 
   /// Consumer side. False when the ring is empty.
@@ -53,9 +65,9 @@ class SpscTaskQueue {
  private:
   std::vector<WorkerTask> slots_;
   size_t mask_;
-  /// Separate cache lines: the producer spins on tail_ (own) + head_
-  /// (theirs) and the consumer on the opposite pair; sharing a line
-  /// would ping-pong it on every task.
+  /// Separate cache lines: the producer writes tail_ and reads head_,
+  /// the consumer the opposite pair; sharing a line would ping-pong it
+  /// on every task.
   alignas(64) std::atomic<uint64_t> head_{0};  // next slot to pop
   alignas(64) std::atomic<uint64_t> tail_{0};  // next slot to fill
 };

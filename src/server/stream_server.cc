@@ -14,9 +14,9 @@ namespace datatriage::server {
 
 namespace {
 
-/// Slots in each session's task ring (rounded up to a power of two). The
-/// pushing thread blocks when a ring is full — backpressure, never loss:
-/// load shedding is the triage queues' job, not the task rings'.
+/// Deliveries a session may have in flight (handed to its worker, not
+/// yet ingested) before the pushing thread blocks — backpressure, never
+/// loss: load shedding is the triage queues' job, not the task rings'.
 constexpr size_t kTaskQueueCapacity = 1024;
 
 }  // namespace
@@ -277,11 +277,11 @@ Status StreamServer::EnsureStreaming() {
             : std::min(scheduling.worker_threads, sessions_.size());
     if (workers > 0) {
       const SimFaults* faults = plane_.sim_faults();
-      size_t queue_capacity = kTaskQueueCapacity;
+      size_t max_in_flight = kTaskQueueCapacity;
       if (faults != nullptr && faults->task_queue_capacity_override > 0) {
-        queue_capacity = faults->task_queue_capacity_override;
+        max_in_flight = faults->task_queue_capacity_override;
       }
-      scheduler_ = std::make_unique<TaskScheduler>(workers, queue_capacity);
+      scheduler_ = std::make_unique<TaskScheduler>(workers, max_in_flight);
       if (faults != nullptr) {
         scheduler_->SetDispatchYield(faults->dispatch_yield_every);
       }
@@ -298,11 +298,11 @@ Status StreamServer::EnsureStreaming() {
         session->SetTaskPool(task_pool_.get());
       }
       plane_.SetDispatcher([this](StreamLane* lane, const Tuple& tuple) {
-        WorkerTask task;
-        task.kind = WorkerTask::Kind::kIngest;
-        task.lane = lane;
-        task.tuple = tuple;  // by value: the plane's reference dies here
-        scheduler_->Dispatch(lane->session->id(), std::move(task));
+        // `tuple` lives in the push's shared batch (FlushStaged).
+        const SessionId id = lane->session->id();
+        if (id >= staged_.size()) staged_.resize(id + 1);
+        if (staged_[id].empty()) staged_sessions_.push_back(id);
+        staged_[id].push_back({lane, &tuple});
         return Status::OK();
       });
     }
@@ -317,18 +317,43 @@ Status StreamServer::EnsureStreaming() {
 
 Status StreamServer::Push(const engine::StreamEvent& event) {
   DT_RETURN_IF_ERROR(EnsureStreaming());
-  return plane_.Push(event);
+  if (scheduler_ == nullptr) return plane_.Push(event);
+  const auto batch = std::make_shared<const EventBatch>(1, event);
+  return FlushStaged(batch, plane_.Push(batch->front()));
 }
 
 Status StreamServer::Push(StreamId stream, const Tuple& tuple) {
   DT_RETURN_IF_ERROR(EnsureStreaming());
-  return plane_.Push(stream, tuple);
+  if (scheduler_ == nullptr) return plane_.Push(stream, tuple);
+  DT_ASSIGN_OR_RETURN(const std::string_view name, plane_.NameOf(stream));
+  auto batch = std::make_shared<EventBatch>();
+  batch->push_back({std::string(name), tuple});
+  return FlushStaged(batch, plane_.Push(stream, batch->front().tuple));
 }
 
 Status StreamServer::PushBatch(
     std::span<const engine::StreamEvent> events) {
   DT_RETURN_IF_ERROR(EnsureStreaming());
-  return plane_.PushBatch(events);
+  if (scheduler_ == nullptr) return plane_.PushBatch(events);
+  const auto batch =
+      std::make_shared<const EventBatch>(events.begin(), events.end());
+  return FlushStaged(batch, plane_.PushBatch(*batch));
+}
+
+Status StreamServer::FlushStaged(
+    const std::shared_ptr<const EventBatch>& batch, Status pushed) {
+  for (const SessionId id : staged_sessions_) {
+    std::vector<Delivery>& staged = staged_[id];
+    WorkerTask task;
+    task.kind = WorkerTask::Kind::kIngest;
+    task.session = sessions_[id].get();
+    task.batch = batch;
+    task.deliveries.assign(staged.begin(), staged.end());
+    staged.clear();
+    scheduler_->Dispatch(id, std::move(task));
+  }
+  staged_sessions_.clear();
+  return pushed;
 }
 
 Status StreamServer::Finish() {

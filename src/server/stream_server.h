@@ -132,7 +132,9 @@ class StreamServer {
   /// InvalidArgument and leave every session untouched. The first push
   /// moves the server to kStreaming (starting the task scheduler and
   /// morsel pool when configured); pushing on a finished server, or with
-  /// zero live sessions, is FailedPrecondition.
+  /// zero live sessions, is FailedPrecondition. The id overload returns
+  /// NotFound for an id InternStream never returned. With workers on,
+  /// each push is one batch of one event (see PushBatch).
   Status Push(const engine::StreamEvent& event);
   Status Push(StreamId stream, const Tuple& tuple);
 
@@ -141,7 +143,10 @@ class StreamServer {
   /// the batch atomically), and stream routing is memoized across runs
   /// of same-stream events. For valid input the result is byte-identical
   /// to pushing the events one by one — PushBatch is the amortization,
-  /// not a semantic variant.
+  /// not a semantic variant. With workers on, the push copies its events
+  /// once into a batch shared by every session and hands each session
+  /// that received any of them one task: a reference to the batch plus
+  /// its deliveries in feed order (DESIGN.md §11.1).
   Status PushBatch(std::span<const engine::StreamEvent> events);
 
   /// Drains every session (in parallel mode: on a scheduler worker, with
@@ -209,6 +214,15 @@ class StreamServer {
   /// any error a worker recorded since the previous push.
   Status EnsureStreaming();
 
+  /// Parallel-mode tail of every push: hands each session's staged
+  /// deliveries — pointers into `batch`, the push's shared event copy
+  /// that the plane was driven over — to its worker as one task, then
+  /// returns `pushed`, the plane's verdict. It flushes on failure too:
+  /// events the plane accepted before a mid-batch offender stay
+  /// ingested, as in serial mode.
+  Status FlushStaged(const std::shared_ptr<const EventBatch>& batch,
+                     Status pushed);
+
   /// Quiesces the scheduler (barrier over every dispatched task) so
   /// lifecycle operations can touch session state on this thread. No-op
   /// in serial mode.
@@ -239,6 +253,12 @@ class StreamServer {
   /// Intra-session morsel helpers, shared by every session; null unless
   /// scheduler.intra_session_threads > 1.
   std::unique_ptr<exec::TaskPool> task_pool_;
+  /// The current push's deliveries per session id, staged by the plane
+  /// dispatcher (parallel mode only; empty between pushes). The vectors
+  /// keep their capacity from push to push.
+  std::vector<std::vector<Delivery>> staged_;
+  /// Ids with at least one staged delivery, in first-delivery order.
+  std::vector<SessionId> staged_sessions_;
 };
 
 }  // namespace datatriage::server

@@ -1,5 +1,6 @@
 #include "src/server/task_scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -12,11 +13,10 @@ namespace datatriage::server {
 
 namespace {
 
-/// Bounded spin before parking: rings stay hot under load (the pop/push
-/// succeeds within a few tries), and an idle worker backs off to a short
-/// sleep instead of burning its core.
-constexpr int kSpinsBeforeSleep = 64;
-constexpr std::chrono::microseconds kIdleSleep{50};
+/// Bounded spin before parking: rings stay hot under load (the next
+/// task usually lands within a few tries), and an idle worker then parks
+/// on its wake word instead of burning its core.
+constexpr int kSpinsBeforePark = 64;
 
 }  // namespace
 
@@ -36,9 +36,10 @@ size_t WorkerForSessionFaulted(uint32_t session_id, size_t workers,
   return WorkerForSession(session_id, workers);
 }
 
-TaskScheduler::TaskScheduler(size_t workers, size_t queue_capacity)
-    : queue_capacity_(queue_capacity) {
+TaskScheduler::TaskScheduler(size_t workers, size_t max_in_flight)
+    : max_in_flight_(max_in_flight) {
   DT_CHECK(workers > 0);
+  DT_CHECK(max_in_flight > 0);
   depth_hwm_.assign(workers, 0);
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
@@ -59,8 +60,10 @@ void TaskScheduler::AddSession(uint32_t session_id, size_t home_worker) {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   DT_CHECK(session_id == sessions_.size())
       << "session ids must arrive dense and in order";
+  // Every task but the session's one finish carries a delivery, so
+  // below the in-flight bound (Dispatch) the ring always has a slot.
   sessions_.push_back(std::make_unique<SessionQueue>(
-      session_id, queue_capacity_, home_worker));
+      session_id, max_in_flight_, home_worker));
   generation_.fetch_add(1, std::memory_order_release);
 }
 
@@ -82,16 +85,31 @@ void TaskScheduler::Dispatch(uint32_t session_id, WorkerTask task) {
   RefreshProducerView();
   DT_CHECK(session_id < producer_view_.size());
   SessionQueue& q = *producer_view_[session_id];
-  const uint64_t enqueued = q.enqueued.load(std::memory_order_relaxed);
-  while (!q.queue.TryPush(std::move(task))) {
-    // Full ring: the consumer is behind. Backpressure the feed rather
-    // than dropping — shedding is the triage queues' job.
-    std::this_thread::yield();
+  // Backpressure, never loss: while the session has max_in_flight_
+  // deliveries in flight, park until its worker finishes a task.
+  // Shedding is the triage queues' job.
+  for (uint32_t executed = q.executed.load(std::memory_order_acquire);
+       q.deliveries_enqueued -
+           q.deliveries_done.load(std::memory_order_relaxed) >=
+       max_in_flight_;
+       executed = q.executed.load(std::memory_order_acquire)) {
+    q.executed.wait(executed, std::memory_order_acquire);
   }
-  q.enqueued.store(enqueued + 1, std::memory_order_release);
+  q.deliveries_enqueued += task.deliveries.size();
+  const bool pushed = q.queue.TryPush(std::move(task));
+  DT_CHECK(pushed) << "task ring full below the in-flight bound";
+  q.enqueued.store(q.enqueued.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
   const int64_t depth = static_cast<int64_t>(
-      enqueued + 1 - q.executed.load(std::memory_order_relaxed));
-  if (depth > depth_hwm_[q.home]) depth_hwm_[q.home] = depth;
+      q.deliveries_enqueued -
+      q.deliveries_done.load(std::memory_order_relaxed));
+  depth_hwm_[q.home] = std::max(depth_hwm_[q.home], depth);
+  // Bump after the release above: a worker that reads the new word
+  // also sees the task (RunWorker's re-check before it parks). Every
+  // bump that precedes a notify is seq_cst, like executed's store.
+  Worker& home = *workers_[q.home];
+  home.wake.fetch_add(1);
+  home.wake.notify_one();
   if (dispatch_yield_every_ > 0 &&
       ++dispatched_since_yield_ >= dispatch_yield_every_) {
     dispatched_since_yield_ = 0;
@@ -107,14 +125,11 @@ Status TaskScheduler::Drain() {
   // observes independent of thread timing.
   RefreshProducerView();
   for (SessionQueue* q : producer_view_) {
-    int spins = 0;
-    while (q->executed.load(std::memory_order_acquire) !=
-           q->enqueued.load(std::memory_order_relaxed)) {
-      if (++spins < kSpinsBeforeSleep) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(kIdleSleep);
-      }
+    const uint32_t enqueued = q->enqueued.load(std::memory_order_relaxed);
+    for (uint32_t executed;
+         (executed = q->executed.load(std::memory_order_acquire)) !=
+         enqueued;) {
+      q->executed.wait(executed, std::memory_order_acquire);
     }
   }
   return first_error();
@@ -124,6 +139,10 @@ Status TaskScheduler::Stop() {
   if (joined_) return first_error();
   Status drained = Drain();
   stop_.store(true, std::memory_order_release);
+  for (std::unique_ptr<Worker>& worker : workers_) {
+    worker->wake.fetch_add(1);
+    worker->wake.notify_one();
+  }
   for (std::unique_ptr<Worker>& worker : workers_) {
     worker->thread.join();
   }
@@ -157,7 +176,11 @@ void TaskScheduler::RecordError(uint32_t session_id, Status status) {
 Status TaskScheduler::ExecuteTask(const WorkerTask& task) {
   switch (task.kind) {
     case WorkerTask::Kind::kIngest:
-      return task.lane->session->Ingest(task.lane, task.tuple);
+      for (const Delivery& delivery : task.deliveries) {
+        DT_RETURN_IF_ERROR(
+            task.session->Ingest(delivery.lane, *delivery.tuple));
+      }
+      return Status::OK();
     case WorkerTask::Kind::kFinish:
       return task.session->Finish();
   }
@@ -166,15 +189,13 @@ Status TaskScheduler::ExecuteTask(const WorkerTask& task) {
 
 bool TaskScheduler::DrainSession(Worker* w, SessionQueue* q) {
   using clock = std::chrono::steady_clock;
-  bool any = false;
   WorkerTask task;
-  while (q->queue.TryPop(&task)) {
-    any = true;
+  if (!q->queue.TryPop(&task)) return false;
+  // One clock read per task: each task's end is the next one's start.
+  clock::time_point start = clock::now();
+  do {
     if (!q->errored.load(std::memory_order_relaxed)) {
-      const clock::time_point start = clock::now();
       Status status = ExecuteTask(task);
-      w->busy_seconds +=
-          std::chrono::duration<double>(clock::now() - start).count();
       if (!status.ok()) {
         // Skip the session's remaining tasks, the way a serial run
         // would have stopped at the first error.
@@ -182,12 +203,25 @@ bool TaskScheduler::DrainSession(Worker* w, SessionQueue* q) {
         RecordError(q->id, std::move(status));
       }
     }
+    const uint64_t deliveries = task.deliveries.size();
+    task = WorkerTask();  // drops the batch reference before completing
+    const clock::time_point end = clock::now();
+    w->busy_seconds += std::chrono::duration<double>(end - start).count();
+    start = end;
     ++w->tasks;
+    q->deliveries_done.store(
+        q->deliveries_done.load(std::memory_order_relaxed) + deliveries,
+        std::memory_order_relaxed);
     // Publishes the task's side effects (session state, the counters
-    // above) to Drain()'s acquire load.
-    q->executed.fetch_add(1, std::memory_order_release);
-  }
-  return any;
+    // above) to the dispatching thread's acquire load, and wakes it if
+    // it is parked on backpressure or the barrier. seq_cst, not
+    // release: the store must not sink below notify_all's check for
+    // waiters, or a waiter that just missed it would sleep through.
+    q->executed.store(q->executed.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_seq_cst);
+    q->executed.notify_all();
+  } while (q->queue.TryPop(&task));
+  return true;
 }
 
 void TaskScheduler::RunWorker(size_t k) {
@@ -200,32 +234,39 @@ void TaskScheduler::RunWorker(size_t k) {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
       seen_generation = generation_.load(std::memory_order_relaxed);
       view.clear();
-      view.reserve(sessions_.size());
       for (const std::unique_ptr<SessionQueue>& q : sessions_) {
-        view.push_back(q.get());
+        // Each worker pops only the rings homed on it, so every ring
+        // has exactly one consumer.
+        if (q->home == k) view.push_back(q.get());
       }
     }
     bool did_work = false;
-    for (SessionQueue* q : view) {
-      // Each worker pops only the rings homed on it, so every ring has
-      // exactly one consumer.
-      if (q->home != k) continue;
-      if (q->executed.load(std::memory_order_relaxed) ==
-          q->enqueued.load(std::memory_order_acquire)) {
-        continue;
-      }
-      did_work |= DrainSession(self, q);
-    }
+    for (SessionQueue* q : view) did_work |= DrainSession(self, q);
     if (did_work) {
       spins = 0;
       continue;
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    if (++spins < kSpinsBeforeSleep) {
+    if (++spins < kSpinsBeforePark) {
       std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(kIdleSleep);
+      continue;
     }
+    // Park. Read the wake word first, then re-check everything a waker
+    // publishes before bumping it (new sessions, tasks, stop): a
+    // Dispatch or Stop that lands after the read changes the word, so
+    // the wait returns at once — no lost wake-up.
+    spins = 0;
+    const uint32_t wake = self->wake.load(std::memory_order_acquire);
+    if (generation_.load(std::memory_order_acquire) != seen_generation ||
+        stop_.load(std::memory_order_acquire)) {
+      continue;
+    }
+    const bool pending = std::any_of(
+        view.begin(), view.end(), [](const SessionQueue* q) {
+          return q->executed.load(std::memory_order_relaxed) !=
+                 q->enqueued.load(std::memory_order_acquire);
+        });
+    if (!pending) self->wake.wait(wake, std::memory_order_acquire);
   }
 }
 

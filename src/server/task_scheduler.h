@@ -19,11 +19,16 @@ namespace datatriage::server {
 /// the Stop() join; queue_depth_hwm is owned by the dispatching thread
 /// outright.
 struct TaskWorkerStats {
+  /// Tasks executed: one per (push, session that received events), plus
+  /// one finish per session.
   int64_t tasks = 0;
   /// Wall-clock seconds spent executing tasks (not idling). Wall time is
   /// observability-only — everything deterministic runs on virtual
   /// clocks — so this is the one place the server reads a real clock.
   double busy_seconds = 0.0;
+  /// High-water mark of deliveries in flight (enqueued, not yet
+  /// executed) on any one session homed on this worker — the unit of
+  /// the backpressure bound.
   int64_t queue_depth_hwm = 0;
 };
 
@@ -39,6 +44,12 @@ struct TaskWorkerStats {
 /// *what* it computes — per-session output is byte-identical across
 /// worker counts.
 ///
+/// Nobody spins for long: an idle worker parks on its own wake word
+/// after a short spin, and the dispatching thread parks on a session's
+/// completion counter while it waits for room (backpressure) or for the
+/// barrier (Drain). Every such wait is an std::atomic wait whose waker
+/// bumps the word first, so no wake-up is lost.
+///
 /// Error model: task execution is asynchronous, so a failing task cannot
 /// fail the Push that enqueued it. The first error per session is
 /// recorded and the session's remaining tasks are skipped (popped and
@@ -50,8 +61,10 @@ struct TaskWorkerStats {
 class TaskScheduler {
  public:
   /// Starts `workers` (>= 1) threads. Each session added later gets its
-  /// own task ring of at least `queue_capacity` slots.
-  TaskScheduler(size_t workers, size_t queue_capacity);
+  /// own task ring; `max_in_flight` (> 0) bounds the deliveries a
+  /// session may have enqueued but not yet executed before Dispatch
+  /// blocks.
+  TaskScheduler(size_t workers, size_t max_in_flight);
 
   /// Stops and joins outstanding workers (draining every ring first).
   ~TaskScheduler();
@@ -66,8 +79,10 @@ class TaskScheduler {
   /// worker picks the new ring up on its next scan.
   void AddSession(uint32_t session_id, size_t home_worker);
 
-  /// Enqueues `task` on `session_id`'s ring, blocking (yield loop)
-  /// while the ring is full. Must only be called from the single
+  /// Enqueues `task` on `session_id`'s ring and wakes its home worker.
+  /// Blocks (parked, not spinning) while the session has max_in_flight
+  /// or more deliveries in flight — backpressure, never loss; the task
+  /// itself may carry more. Must only be called from the single
   /// dispatching thread, and not after Stop().
   void Dispatch(uint32_t session_id, WorkerTask task);
 
@@ -101,21 +116,28 @@ class TaskScheduler {
  private:
   /// One session's task ring and its completion cursors.
   struct SessionQueue {
-    SessionQueue(uint32_t session_id, size_t queue_capacity,
+    SessionQueue(uint32_t session_id, size_t ring_capacity,
                  size_t home_worker)
-        : id(session_id), queue(queue_capacity), home(home_worker) {}
+        : id(session_id), queue(ring_capacity), home(home_worker) {}
 
     const uint32_t id;
     SpscTaskQueue queue;
     /// The one worker that pops this ring, fixed at AddSession.
     const size_t home;
-    /// Producer cursor (single writer: the dispatching thread);
-    /// release-published after the slot lands so scanning workers see
-    /// the ring non-empty only once the task is poppable.
-    std::atomic<uint64_t> enqueued{0};
-    /// Tasks completed; release-stored after each task so Drain()'s
-    /// acquire load observes the task's session-state side effects.
-    alignas(64) std::atomic<uint64_t> executed{0};
+    /// Tasks enqueued (single writer: the dispatching thread);
+    /// release-published after the slot lands. The task counters are
+    /// 32-bit so they are futex words; they are only ever compared for
+    /// equality, which wrap-around leaves intact.
+    std::atomic<uint32_t> enqueued{0};
+    /// Deliveries enqueued (dispatching thread only).
+    uint64_t deliveries_enqueued = 0;
+    /// Completion cursors (single writer: the home worker).
+    /// deliveries_done is stored before executed, whose store
+    /// publishes the task's session-state side effects; the
+    /// dispatching thread parks on executed, and the worker notifies it
+    /// after every task.
+    alignas(64) std::atomic<uint32_t> executed{0};
+    std::atomic<uint64_t> deliveries_done{0};
     /// Set at the session's first task failure; later tasks are
     /// skipped (popped and counted, never executed).
     std::atomic<bool> errored{false};
@@ -123,6 +145,9 @@ class TaskScheduler {
 
   struct Worker {
     std::thread thread;
+    /// Bumped by every Dispatch homed here and by Stop(); the worker
+    /// parks on it once its rings stay empty.
+    alignas(64) std::atomic<uint32_t> wake{0};
     // Consumer-side accounting (owned by the worker thread until the
     // Stop() join publishes it).
     double busy_seconds = 0.0;
@@ -139,7 +164,7 @@ class TaskScheduler {
   /// sessions_ when the generation counter moved.
   void RefreshProducerView();
 
-  const size_t queue_capacity_;
+  const size_t max_in_flight_;
 
   /// Ring table: index == session id. Guarded by sessions_mutex_ for
   /// growth; generation_ bumps on every AddSession so workers (and the

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -213,47 +214,127 @@ TEST(StreamServerTest, SessionsMatchStandaloneEnginesByteForByte) {
   }
 }
 
+/// A server on `workers` scheduler threads (0 = serial) hosting `specs`
+/// as sessions 0..n-1, with `faults` installed first when non-null.
+std::unique_ptr<StreamServer> HostingServer(
+    const workload::Scenario& scenario, const std::vector<QuerySpec>& specs,
+    size_t workers, const SimFaults* faults = nullptr) {
+  engine::StreamServerOptions options;
+  options.scheduler.worker_threads = workers;
+  auto server = std::make_unique<StreamServer>(scenario.catalog, options);
+  if (faults != nullptr) DT_CHECK(server->SetSimFaults(faults).ok());
+  for (const QuerySpec& spec : specs) {
+    auto id = server->RegisterQuery(spec.sql, spec.config);
+    DT_CHECK(id.ok()) << id.status().ToString();
+  }
+  return server;
+}
+
+/// Each session's results CSV, then its metrics JSON, in session order.
+std::vector<std::string> SessionOutputs(StreamServer& server,
+                                        const std::vector<QuerySpec>& specs) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    QuerySession& session = server.session(static_cast<SessionId>(i));
+    out.push_back(
+        io::FormatResultsCsv(session.TakeResults(), specs[i].columns));
+    out.push_back(obs::MetricsJson(session.metrics(), &session.trace()));
+  }
+  return out;
+}
+
+/// A one-delivery in-flight bound: with workers on, every push waits out
+/// the session's previous task, and any push of more than one event to
+/// a session makes a task larger than the bound. Installed at every
+/// worker count so the sessions' metrics (which gain fault-cause
+/// counters) compare across them.
+SimFaults OneSlotFaults() {
+  SimFaults faults;
+  faults.task_queue_capacity_override = 1;
+  return faults;
+}
+
 TEST(StreamServerTest, InternedIdPushMatchesNamePush) {
   const workload::Scenario scenario = OverloadScenario(2);
   const std::vector<QuerySpec> specs = HostedQueries(scenario);
+  const SimFaults faults = OneSlotFaults();
 
-  std::vector<std::string> by_name, by_id;
-  for (std::vector<std::string>* out : {&by_name, &by_id}) {
-    StreamServer server(scenario.catalog);
-    std::vector<SessionId> ids;
-    for (const QuerySpec& spec : specs) {
-      auto id = server.RegisterQuery(spec.sql, spec.config);
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      ids.push_back(*id);
-    }
-    if (out == &by_id) {
-      // Resolve names once at the boundary, then push ids only — the
-      // hot-loop pattern the id overload exists for.
-      std::map<std::string, StreamId> interned;
-      for (const StreamEvent& event : scenario.events) {
-        auto it = interned.find(event.stream);
-        if (it == interned.end()) {
-          auto id = server.InternStream(event.stream);
-          ASSERT_TRUE(id.ok()) << id.status().ToString();
-          it = interned.emplace(event.stream, *id).first;
+  std::vector<std::string> serial;
+  for (size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("worker_threads=" + std::to_string(workers));
+    std::vector<std::string> by_name, by_id;
+    for (std::vector<std::string>* out : {&by_name, &by_id}) {
+      std::unique_ptr<StreamServer> server =
+          HostingServer(scenario, specs, workers, &faults);
+      if (out == &by_id) {
+        // Resolve names once at the boundary, then push ids only — the
+        // hot-loop pattern the id overload exists for.
+        std::map<std::string, StreamId> interned;
+        for (const StreamEvent& event : scenario.events) {
+          auto it = interned.find(event.stream);
+          if (it == interned.end()) {
+            auto id = server->InternStream(event.stream);
+            ASSERT_TRUE(id.ok()) << id.status().ToString();
+            it = interned.emplace(event.stream, *id).first;
+          }
+          ASSERT_TRUE(server->Push(it->second, event.tuple).ok());
         }
-        ASSERT_TRUE(server.Push(it->second, event.tuple).ok());
+      } else {
+        for (const StreamEvent& event : scenario.events) {
+          ASSERT_TRUE(server->Push(event).ok());
+        }
       }
+      ASSERT_TRUE(server->Finish().ok());
+      *out = SessionOutputs(*server, specs);
+      // The server section carries wall-clock worker gauges once workers
+      // run, so it is byte-comparable in serial mode only.
+      if (workers == 0) out->push_back(server->MetricsJson());
+    }
+    EXPECT_EQ(by_name, by_id);
+    if (workers == 0) {
+      serial = by_name;
+      serial.pop_back();
     } else {
-      for (const StreamEvent& event : scenario.events) {
-        ASSERT_TRUE(server.Push(event).ok());
-      }
+      EXPECT_EQ(by_name, serial);
     }
-    ASSERT_TRUE(server.Finish().ok());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      out->push_back(io::FormatResultsCsv(
-          server.session(ids[i]).TakeResults(), specs[i].columns));
-      out->push_back(obs::MetricsJson(server.session(ids[i]).metrics(),
-                                      &server.session(ids[i]).trace()));
-    }
-    out->push_back(server.MetricsJson());
   }
-  EXPECT_EQ(by_name, by_id);
+}
+
+TEST(StreamServerTest, PushRejectsStaleStreamIdsAndStaysUsable) {
+  const workload::Scenario scenario = OverloadScenario();
+  const std::vector<QuerySpec> specs = HostedQueries(scenario);
+
+  for (size_t workers : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("worker_threads=" + std::to_string(workers));
+    std::unique_ptr<StreamServer> server =
+        HostingServer(scenario, specs, workers);
+    // The three queries read r, s and t, so ids 0..2 are interned.
+    const Status stale = server->Push(StreamId{3}, Row({5}, 0.1));
+    ASSERT_FALSE(stale.ok());
+    EXPECT_EQ(stale.code(), StatusCode::kNotFound) << stale.ToString();
+    EXPECT_NE(stale.message().find("[0, 3)"), std::string::npos)
+        << stale.ToString();
+    EXPECT_EQ(
+        server->server_metrics().CounterTotals().at("server.events_pushed"),
+        0);
+
+    auto r = server->InternStream("r");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(server->Push(*r, Row({5}, 0.1)).ok());
+    ASSERT_TRUE(server->Finish().ok());
+    EXPECT_EQ(
+        server->server_metrics().CounterTotals().at("server.events_pushed"),
+        1);
+    // Sessions 0 (R,S,T) and 2 (R,T) read r; session 1 reads s only.
+    const int64_t ingested[] = {1, 0, 1};
+    for (size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(server->session(static_cast<SessionId>(i))
+                    .StatsSnapshot()
+                    .core.tuples_ingested,
+                ingested[i])
+          << "session " << i;
+    }
+  }
 }
 
 // --- Server-boundary behavior -------------------------------------------
@@ -589,37 +670,52 @@ TEST(ParallelEquivalence, ParallelSessionsMatchStandaloneEngines) {
 TEST(ParallelEquivalence, FlushesWorkerInstrumentsAfterFinish) {
   const workload::Scenario scenario = OverloadScenario();
   const std::vector<QuerySpec> specs = HostedQueries(scenario);
-
-  engine::StreamServerOptions options;
-  options.scheduler.worker_threads = 2;
-  StreamServer server(scenario.catalog, options);
-  for (const QuerySpec& spec : specs) {
-    ASSERT_TRUE(server.RegisterQuery(spec.sql, spec.config).ok());
+  // Uneven pushes, so some carry no event for some session.
+  std::vector<std::span<const StreamEvent>> pushes;
+  std::span<const StreamEvent> rest(scenario.events);
+  for (size_t i = 0; !rest.empty(); ++i) {
+    const size_t take = std::min(i % 3 == 0 ? size_t{1} : 97, rest.size());
+    pushes.push_back(rest.subspan(0, take));
+    rest = rest.subspan(take);
   }
-  ASSERT_TRUE(server.PushBatch(scenario.events).ok());
-  ASSERT_TRUE(server.Finish().ok());
+
+  // A task is one push's deliveries to one session: count, serially,
+  // how many pushes reached each session.
+  int64_t expected_tasks = static_cast<int64_t>(specs.size());  // finishes
+  {
+    std::unique_ptr<StreamServer> serial = HostingServer(scenario, specs, 0);
+    std::vector<int64_t> ingested(specs.size(), 0);
+    for (std::span<const StreamEvent> push : pushes) {
+      ASSERT_TRUE(serial->PushBatch(push).ok());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        const int64_t now = serial->session(static_cast<SessionId>(i))
+                                .StatsSnapshot()
+                                .core.tuples_ingested;
+        if (now > ingested[i]) ++expected_tasks;
+        ingested[i] = now;
+      }
+    }
+  }
+
+  std::unique_ptr<StreamServer> server = HostingServer(scenario, specs, 2);
+  for (std::span<const StreamEvent> push : pushes) {
+    ASSERT_TRUE(server->PushBatch(push).ok());
+  }
+  ASSERT_TRUE(server->Finish().ok());
 
   // Three sessions shard 2/1 across two workers; every dispatched task
-  // (ingest + one finish per session) is accounted for exactly once.
-  const auto totals = server.server_metrics().CounterTotals();
-  const int64_t tasks = totals.at("server.worker.0.tasks") +
-                        totals.at("server.worker.1.tasks");
+  // is accounted for exactly once.
+  const auto totals = server->server_metrics().CounterTotals();
   EXPECT_GT(totals.at("server.worker.0.tasks"), 0);
   EXPECT_GT(totals.at("server.worker.1.tasks"), 0);
-  int64_t expected_tasks = static_cast<int64_t>(specs.size());  // finishes
-  // Each session ingests the events on its streams; sum over sessions.
-  for (size_t i = 0; i < specs.size(); ++i) {
-    expected_tasks +=
-        server.session(static_cast<SessionId>(i))
-            .StatsSnapshot()
-            .core.tuples_ingested;
-  }
-  EXPECT_EQ(tasks, expected_tasks);
-  const auto gauges = server.server_metrics().GaugeMaxima();
+  EXPECT_EQ(totals.at("server.worker.0.tasks") +
+                totals.at("server.worker.1.tasks"),
+            expected_tasks);
+  const auto gauges = server->server_metrics().GaugeMaxima();
   EXPECT_GT(gauges.at("server.worker.0.queue_depth"), 0.0);
   EXPECT_GE(gauges.at("server.worker.0.busy_seconds"), 0.0);
   // Combined export carries the worker section under "server".
-  EXPECT_NE(server.MetricsJson().find("server.worker.0.tasks"),
+  EXPECT_NE(server->MetricsJson().find("server.worker.0.tasks"),
             std::string::npos);
 }
 
@@ -628,43 +724,84 @@ TEST(ParallelEquivalence, FlushesWorkerInstrumentsAfterFinish) {
 TEST(StreamServerTest, PushBatchMatchesLoopOfPushByteForByte) {
   const workload::Scenario scenario = OverloadScenario(4);
   const std::vector<QuerySpec> specs = HostedQueries(scenario);
+  const SimFaults faults = OneSlotFaults();
 
-  std::vector<std::string> by_loop, by_batch;
-  for (std::vector<std::string>* out : {&by_loop, &by_batch}) {
-    StreamServer server(scenario.catalog);
-    std::vector<SessionId> ids;
-    for (const QuerySpec& spec : specs) {
-      auto id = server.RegisterQuery(spec.sql, spec.config);
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      ids.push_back(*id);
-    }
-    if (out == &by_batch) {
-      // Split the feed into uneven chunks so batch boundaries land both
-      // mid-window and mid-stream-run.
-      std::span<const StreamEvent> rest(scenario.events);
-      const size_t chunks[] = {1, 7, 64, 3};
-      size_t next_chunk = 0;
-      while (!rest.empty()) {
-        const size_t take =
-            std::min(chunks[next_chunk++ % 4], rest.size());
-        ASSERT_TRUE(server.PushBatch(rest.subspan(0, take)).ok());
-        rest = rest.subspan(take);
+  std::vector<std::string> serial;
+  for (size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("worker_threads=" + std::to_string(workers));
+    std::vector<std::string> by_loop, by_batch;
+    for (std::vector<std::string>* out : {&by_loop, &by_batch}) {
+      std::unique_ptr<StreamServer> server =
+          HostingServer(scenario, specs, workers, &faults);
+      if (out == &by_batch) {
+        // Split the feed into uneven chunks so batch boundaries land
+        // both mid-window and mid-stream-run.
+        std::span<const StreamEvent> rest(scenario.events);
+        const size_t chunks[] = {1, 7, 64, 3};
+        size_t next_chunk = 0;
+        while (!rest.empty()) {
+          const size_t take =
+              std::min(chunks[next_chunk++ % 4], rest.size());
+          ASSERT_TRUE(server->PushBatch(rest.subspan(0, take)).ok());
+          rest = rest.subspan(take);
+        }
+      } else {
+        for (const StreamEvent& event : scenario.events) {
+          ASSERT_TRUE(server->Push(event).ok());
+        }
       }
+      ASSERT_TRUE(server->Finish().ok());
+      *out = SessionOutputs(*server, specs);
+      // Wall-clock worker gauges: see InternedIdPushMatchesNamePush.
+      if (workers == 0) out->push_back(server->MetricsJson());
+    }
+    EXPECT_EQ(by_loop, by_batch);
+    if (workers == 0) {
+      serial = by_loop;
+      serial.pop_back();
     } else {
-      for (const StreamEvent& event : scenario.events) {
-        ASSERT_TRUE(server.Push(event).ok());
-      }
+      EXPECT_EQ(by_loop, serial);
     }
-    ASSERT_TRUE(server.Finish().ok());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      out->push_back(io::FormatResultsCsv(
-          server.session(ids[i]).TakeResults(), specs[i].columns));
-      out->push_back(obs::MetricsJson(server.session(ids[i]).metrics(),
-                                      &server.session(ids[i]).trace()));
-    }
-    out->push_back(server.MetricsJson());
   }
-  EXPECT_EQ(by_loop, by_batch);
+}
+
+TEST(StreamServerTest, PushBatchArityErrorKeepsThePrefixAtAnyWorkerCount) {
+  const workload::Scenario scenario = OverloadScenario(3);
+  const std::vector<QuerySpec> specs = HostedQueries(scenario);
+  const std::span<const StreamEvent> events(scenario.events);
+  const size_t end = 200;  // the failing batch is events [0, end)
+  const size_t k = 90;     // its wrong-arity event
+
+  // Reference: the feed without event k, pushed serially.
+  std::vector<std::string> reference;
+  {
+    std::unique_ptr<StreamServer> server = HostingServer(scenario, specs, 0);
+    ASSERT_TRUE(server->PushBatch(events.subspan(0, k)).ok());
+    ASSERT_TRUE(server->PushBatch(events.subspan(k + 1)).ok());
+    ASSERT_TRUE(server->Finish().ok());
+    reference = SessionOutputs(*server, specs);
+  }
+
+  std::vector<StreamEvent> batch(events.begin(), events.begin() + end);
+  batch[k].tuple = Row({1, 2, 3, 4, 5}, batch[k].tuple.timestamp());
+  for (size_t workers : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("worker_threads=" + std::to_string(workers));
+    std::unique_ptr<StreamServer> server =
+        HostingServer(scenario, specs, workers);
+    const Status status = server->PushBatch(batch);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("arity"), std::string::npos)
+        << status.ToString();
+    // Loop semantics: the events before the offender stay ingested.
+    EXPECT_EQ(
+        server->server_metrics().CounterTotals().at("server.events_pushed"),
+        static_cast<int64_t>(k));
+    ASSERT_TRUE(server->PushBatch(events.subspan(k + 1)).ok());
+    ASSERT_TRUE(server->Finish().ok());
+    EXPECT_EQ(SessionOutputs(*server, specs), reference);
+  }
 }
 
 TEST(StreamServerTest, PushBatchRejectsBadTimestampsAtomically) {
