@@ -1,6 +1,7 @@
 #include "src/io/csv.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -22,8 +23,10 @@ Result<Value> ParseValueAs(std::string_view text, FieldType type,
   switch (type) {
     case FieldType::kInt64: {
       char* end = nullptr;
+      errno = 0;
       const long long v = std::strtoll(stripped.c_str(), &end, 10);
       if (end == stripped.c_str() || *end != '\0') return bad("INTEGER");
+      if (errno == ERANGE) return bad("INTEGER: out of the 64-bit range");
       return Value::Int64(v);
     }
     case FieldType::kDouble:

@@ -64,7 +64,7 @@ Result<StreamLane*> IngestPlane::Subscribe(
     DT_RETURN_IF_ERROR(
         synopsis::Synopsis::CheckNumericSchema(entry.schema));
     lane->synopsizer = std::make_unique<triage::WindowSynopsizer>(
-        entry.name, entry.schema, config.synopsis, window_seconds);
+        entry.name, entry.schema, config.synopsis);
   }
   if (config.drop_policy == triage::DropPolicyKind::kSynergistic) {
     // EngineConfig::Validate rejected synergistic-without-synopsizer.

@@ -1,5 +1,6 @@
 #include "src/sql/ast.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/common/string_util.h"
@@ -80,6 +81,7 @@ ExprPtr Expr::Unary(UnaryOp op, ExprPtr operand) {
   e->kind = Kind::kUnary;
   e->unary_op = op;
   e->lhs = std::move(operand);
+  e->height = 1 + e->lhs->height;
   return e;
 }
 
@@ -89,6 +91,7 @@ ExprPtr Expr::Binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
   e->binary_op = op;
   e->lhs = std::move(lhs);
   e->rhs = std::move(rhs);
+  e->height = 1 + std::max(e->lhs->height, e->rhs->height);
   return e;
 }
 
@@ -100,6 +103,7 @@ ExprPtr Expr::Clone() const {
   e->literal = literal;
   e->unary_op = unary_op;
   e->binary_op = binary_op;
+  e->height = height;
   if (lhs) e->lhs = lhs->Clone();
   if (rhs) e->rhs = rhs->Clone();
   return e;

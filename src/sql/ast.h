@@ -58,6 +58,10 @@ struct Expr {
   ExprPtr lhs;
   ExprPtr rhs;
 
+  /// Nodes on the longest path from this node down to a leaf; the
+  /// factories below keep it.
+  int height = 1;
+
   static ExprPtr ColumnRef(std::string table, std::string column);
   static ExprPtr Literal(Value value);
   static ExprPtr Unary(UnaryOp op, ExprPtr operand);

@@ -1,6 +1,7 @@
 #include "src/sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 
@@ -231,7 +232,12 @@ class Lexer {
     if (is_double) {
       t.double_value = std::strtod(digits.c_str(), nullptr);
     } else {
+      errno = 0;
       t.int_value = std::strtoll(digits.c_str(), nullptr, 10);
+      if (errno == ERANGE) {
+        return Error("integer literal " + digits +
+                     " is out of the 64-bit INTEGER range");
+      }
     }
     return t;
   }

@@ -343,11 +343,35 @@ class Parser {
 
   Result<ExprPtr> ParseExpr() { return ParseOr(); }
 
+  Status DepthError() const {
+    return Status::InvalidArgument(StringPrintf(
+        "expression nested deeper than the limit of %d at line %d column %d",
+        kMaxExpressionDepth, Peek().line, Peek().column));
+  }
+
+  /// Passes a freshly built node on unless its tree is too deep.
+  Result<ExprPtr> Bounded(ExprPtr expr) const {
+    if (expr->height > kMaxExpressionDepth) return DepthError();
+    return expr;
+  }
+
+  /// Runs `parse` one nesting level deeper (a parenthesis, NOT or unary
+  /// minus), failing before it recurses past kMaxExpressionDepth.
+  Result<ExprPtr> Nested(Result<ExprPtr> (Parser::*parse)()) {
+    if (nesting_ == kMaxExpressionDepth) return DepthError();
+    ++nesting_;
+    Result<ExprPtr> expr = (this->*parse)();
+    --nesting_;
+    return expr;
+  }
+
   Result<ExprPtr> ParseOr() {
     DT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (Match(TokenType::kOr)) {
       DT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expr::Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      DT_ASSIGN_OR_RETURN(
+          lhs, Bounded(Expr::Binary(BinaryOp::kOr, std::move(lhs),
+                                    std::move(rhs))));
     }
     return lhs;
   }
@@ -356,15 +380,17 @@ class Parser {
     DT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (Match(TokenType::kAnd)) {
       DT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = Expr::Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+      DT_ASSIGN_OR_RETURN(
+          lhs, Bounded(Expr::Binary(BinaryOp::kAnd, std::move(lhs),
+                                    std::move(rhs))));
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseNot() {
     if (Match(TokenType::kNot)) {
-      DT_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
-      return Expr::Unary(UnaryOp::kNot, std::move(operand));
+      DT_ASSIGN_OR_RETURN(ExprPtr operand, Nested(&Parser::ParseNot));
+      return Bounded(Expr::Unary(UnaryOp::kNot, std::move(operand)));
     }
     return ParseComparison();
   }
@@ -388,7 +414,7 @@ class Parser {
       return lhs;
     }
     DT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-    return Expr::Binary(op, std::move(lhs), std::move(rhs));
+    return Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs)));
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -398,7 +424,8 @@ class Parser {
           Match(TokenType::kPlus) ? BinaryOp::kAdd
                                   : (Match(TokenType::kMinus), BinaryOp::kSub);
       DT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      DT_ASSIGN_OR_RETURN(
+          lhs, Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
@@ -410,15 +437,16 @@ class Parser {
           Match(TokenType::kStar) ? BinaryOp::kMul
                                   : (Match(TokenType::kSlash), BinaryOp::kDiv);
       DT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      DT_ASSIGN_OR_RETURN(
+          lhs, Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseUnary() {
     if (Match(TokenType::kMinus)) {
-      DT_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return Expr::Unary(UnaryOp::kNegate, std::move(operand));
+      DT_ASSIGN_OR_RETURN(ExprPtr operand, Nested(&Parser::ParseUnary));
+      return Bounded(Expr::Unary(UnaryOp::kNegate, std::move(operand)));
     }
     return ParsePrimary();
   }
@@ -434,7 +462,7 @@ class Parser {
       return Expr::Literal(Value::String(Previous().text));
     }
     if (Match(TokenType::kLParen)) {
-      DT_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+      DT_ASSIGN_OR_RETURN(ExprPtr inner, Nested(&Parser::ParseExpr));
       DT_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'").status());
       return inner;
     }
@@ -452,6 +480,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  /// Parentheses, NOTs and unary minuses open around the current token.
+  int nesting_ = 0;
 };
 
 }  // namespace

@@ -9,6 +9,11 @@
 
 namespace datatriage::sql {
 
+/// Bound on expression depth. The binder, the rewrite and the evaluators
+/// all recurse over expression trees, so an unbounded tree would overflow
+/// their stacks.
+inline constexpr int kMaxExpressionDepth = 256;
+
 /// Parses a single statement (trailing ';' optional).
 ///
 /// Grammar (the TelegraphCQ dialect exercised by the paper):
@@ -24,6 +29,11 @@ namespace datatriage::sql {
 ///   window_list    := name '[' string ']' (',' name '[' string ']')*
 ///   expr           := standard precedence: OR < AND < NOT < cmp < +- < */
 ///                     < unary- < primary
+///
+/// An expression may nest parentheses, NOTs and unary minuses at most
+/// kMaxExpressionDepth deep, and the tree built for it may be at most
+/// kMaxExpressionDepth nodes deep (a chain of n ANDs is n + 1 deep).
+/// Deeper input returns InvalidArgument naming the limit.
 Result<Statement> ParseStatement(std::string_view text);
 
 /// Parses a ';'-separated script of statements.

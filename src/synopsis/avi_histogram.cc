@@ -5,7 +5,6 @@
 
 #include "src/common/mem_accounting.h"
 #include "src/common/serde.h"
-#include "src/common/string_util.h"
 
 namespace datatriage::synopsis {
 
@@ -91,18 +90,11 @@ SynopsisPtr AviHistogram::Clone() const {
   return clone;
 }
 
-Result<SynopsisPtr> AviHistogram::UnionAllWith(const Synopsis& other,
-                                               OpStats* stats) const {
-  if (other.type() != SynopsisType::kAviHistogram) {
-    return Status::InvalidArgument(
-        "cannot union AVI histogram with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+Result<SynopsisPtr> AviHistogram::DoUnionAll(const Synopsis& other,
+                                             OpStats* stats) const {
   const auto& rhs = static_cast<const AviHistogram&>(other);
-  if (rhs.config_.cell_width != config_.cell_width ||
-      rhs.schema_.num_fields() != schema_.num_fields()) {
-    return Status::InvalidArgument(
-        "union of incompatible AVI histograms");
+  if (rhs.config_.cell_width != config_.cell_width) {
+    return Status::InvalidArgument("union of incompatible AVI histograms");
   }
   auto result =
       std::unique_ptr<AviHistogram>(new AviHistogram(schema_, config_));
@@ -119,29 +111,16 @@ Result<SynopsisPtr> AviHistogram::UnionAllWith(const Synopsis& other,
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> AviHistogram::EquiJoinWith(
+Result<SynopsisPtr> AviHistogram::DoEquiJoin(
     const Synopsis& other, const std::vector<std::pair<size_t, size_t>>& keys,
-    OpStats* stats) const {
-  if (other.type() != SynopsisType::kAviHistogram) {
-    return Status::InvalidArgument(
-        "cannot join AVI histogram with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+    Schema joined_schema, OpStats* stats) const {
   const auto& rhs = static_cast<const AviHistogram&>(other);
   if (rhs.config_.cell_width != config_.cell_width) {
     return Status::InvalidArgument("AVI cell widths differ");
   }
-  Schema joined_schema;
-  for (const Field& f : schema_.fields()) {
-    DT_RETURN_IF_ERROR(joined_schema.AddField(Field{"l." + f.name, f.type}));
-  }
-  for (const Field& f : rhs.schema_.fields()) {
-    DT_RETURN_IF_ERROR(joined_schema.AddField(Field{"r." + f.name, f.type}));
-  }
   const size_t ldims = schema_.num_fields();
   auto result = std::unique_ptr<AviHistogram>(
       new AviHistogram(std::move(joined_schema), config_));
-  result->marginals_.assign(ldims + rhs.schema_.num_fields(), {});
 
   if (total_count_ <= 0 || rhs.total_count_ <= 0) {
     return SynopsisPtr(std::move(result));
@@ -154,9 +133,6 @@ Result<SynopsisPtr> AviHistogram::EquiJoinWith(
   double match_probability = 1.0;
   std::vector<std::map<int64_t, double>> key_distributions;
   for (const auto& [lk, rk] : keys) {
-    if (lk >= ldims || rk >= rhs.schema_.num_fields()) {
-      return Status::OutOfRange("join key column out of range");
-    }
     std::map<int64_t, double> matched;
     double mass = 0;
     for (const auto& [coord, lmass] : marginals_[lk]) {
@@ -217,22 +193,9 @@ Result<SynopsisPtr> AviHistogram::EquiJoinWith(
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> AviHistogram::ProjectColumns(
-    const std::vector<size_t>& indices, const std::vector<std::string>& names,
+Result<SynopsisPtr> AviHistogram::DoProject(
+    const std::vector<size_t>& indices, Schema projected_schema,
     OpStats* stats) const {
-  if (indices.size() != names.size()) {
-    return Status::InvalidArgument(
-        "projection indices and names must have equal length");
-  }
-  Schema projected_schema;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= schema_.num_fields()) {
-      return Status::OutOfRange(
-          StringPrintf("projection index %zu out of range", indices[i]));
-    }
-    DT_RETURN_IF_ERROR(projected_schema.AddField(
-        Field{names[i], schema_.field(indices[i]).type}));
-  }
   auto result = std::unique_ptr<AviHistogram>(
       new AviHistogram(std::move(projected_schema), config_));
   result->marginals_.clear();
@@ -306,19 +269,9 @@ Result<SynopsisPtr> AviHistogram::Filter(const plan::BoundExpr& predicate,
   return SynopsisPtr(std::move(result));
 }
 
-Result<GroupedEstimate> AviHistogram::EstimateGroups(
+Result<GroupedEstimate> AviHistogram::DoEstimateGroups(
     const std::vector<size_t>& group_columns,
     const std::vector<size_t>& agg_columns) const {
-  for (size_t g : group_columns) {
-    if (g >= schema_.num_fields()) {
-      return Status::OutOfRange("group column out of range");
-    }
-  }
-  for (size_t a : agg_columns) {
-    if (a != kCountOnlyColumn && a >= schema_.num_fields()) {
-      return Status::OutOfRange("aggregate column out of range");
-    }
-  }
   GroupedEstimate groups;
   if (total_count_ <= 0) return groups;
   if (group_columns.empty()) {

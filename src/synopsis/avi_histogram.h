@@ -40,20 +40,8 @@ class AviHistogram final : public Synopsis {
   size_t MemoryBytes() const override;
   SynopsisPtr Clone() const override;
 
-  Result<SynopsisPtr> UnionAllWith(const Synopsis& other,
-                                   OpStats* stats) const override;
-  Result<SynopsisPtr> EquiJoinWith(
-      const Synopsis& other,
-      const std::vector<std::pair<size_t, size_t>>& keys,
-      OpStats* stats) const override;
-  Result<SynopsisPtr> ProjectColumns(const std::vector<size_t>& indices,
-                                     const std::vector<std::string>& names,
-                                     OpStats* stats) const override;
   Result<SynopsisPtr> Filter(const plan::BoundExpr& predicate,
                              OpStats* stats) const override;
-  Result<GroupedEstimate> EstimateGroups(
-      const std::vector<size_t>& group_columns,
-      const std::vector<size_t>& agg_columns) const override;
   double EstimatePointCount(const Tuple& point) const override;
 
   void SaveState(serde::Writer* writer) const override;
@@ -65,6 +53,19 @@ class AviHistogram final : public Synopsis {
   }
 
  private:
+  Result<SynopsisPtr> DoUnionAll(const Synopsis& other,
+                                 OpStats* stats) const override;
+  Result<SynopsisPtr> DoEquiJoin(
+      const Synopsis& other,
+      const std::vector<std::pair<size_t, size_t>>& keys,
+      Schema joined_schema, OpStats* stats) const override;
+  Result<SynopsisPtr> DoProject(const std::vector<size_t>& indices,
+                                Schema projected_schema,
+                                OpStats* stats) const override;
+  Result<GroupedEstimate> DoEstimateGroups(
+      const std::vector<size_t>& group_columns,
+      const std::vector<size_t>& agg_columns) const override;
+
   AviHistogram(Schema schema, const AviHistogramConfig& config)
       : Synopsis(std::move(schema)),
         config_(config),

@@ -5,7 +5,6 @@
 
 #include "src/common/flat_table.h"
 #include "src/common/serde.h"
-#include "src/common/string_util.h"
 #include "src/tuple/serde.h"
 
 namespace datatriage::synopsis {
@@ -50,17 +49,9 @@ SynopsisPtr ExactSynopsis::Clone() const {
   return clone;
 }
 
-Result<SynopsisPtr> ExactSynopsis::UnionAllWith(const Synopsis& other,
-                                                OpStats* stats) const {
-  if (other.type() != SynopsisType::kExact) {
-    return Status::InvalidArgument(
-        "cannot union exact synopsis with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+Result<SynopsisPtr> ExactSynopsis::DoUnionAll(const Synopsis& other,
+                                              OpStats* stats) const {
   const auto& rhs = static_cast<const ExactSynopsis&>(other);
-  if (rhs.schema_.num_fields() != schema_.num_fields()) {
-    return Status::InvalidArgument("union of different-arity synopses");
-  }
   auto result = std::unique_ptr<ExactSynopsis>(
       new ExactSynopsis(schema_, vectorized_));
   result->rows_ = rows_;
@@ -73,24 +64,10 @@ Result<SynopsisPtr> ExactSynopsis::UnionAllWith(const Synopsis& other,
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> ExactSynopsis::EquiJoinWith(
+Result<SynopsisPtr> ExactSynopsis::DoEquiJoin(
     const Synopsis& other, const std::vector<std::pair<size_t, size_t>>& keys,
-    OpStats* stats) const {
-  if (other.type() != SynopsisType::kExact) {
-    return Status::InvalidArgument(
-        "cannot join exact synopsis with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+    Schema joined_schema, OpStats* stats) const {
   const auto& rhs = static_cast<const ExactSynopsis&>(other);
-  Schema joined_schema;
-  for (const Field& f : schema_.fields()) {
-    DT_RETURN_IF_ERROR(
-        joined_schema.AddField(Field{"l." + f.name, f.type}));
-  }
-  for (const Field& f : rhs.schema_.fields()) {
-    DT_RETURN_IF_ERROR(
-        joined_schema.AddField(Field{"r." + f.name, f.type}));
-  }
   auto result = std::unique_ptr<ExactSynopsis>(
       new ExactSynopsis(std::move(joined_schema), vectorized_));
   // The algebra's cost model charges the full cross-product regardless of
@@ -183,22 +160,9 @@ Result<SynopsisPtr> ExactSynopsis::EquiJoinWith(
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> ExactSynopsis::ProjectColumns(
-    const std::vector<size_t>& indices, const std::vector<std::string>& names,
+Result<SynopsisPtr> ExactSynopsis::DoProject(
+    const std::vector<size_t>& indices, Schema projected_schema,
     OpStats* stats) const {
-  if (indices.size() != names.size()) {
-    return Status::InvalidArgument(
-        "projection indices and names must have equal length");
-  }
-  Schema projected_schema;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= schema_.num_fields()) {
-      return Status::OutOfRange(
-          StringPrintf("projection index %zu out of range", indices[i]));
-    }
-    DT_RETURN_IF_ERROR(projected_schema.AddField(
-        Field{names[i], schema_.field(indices[i]).type}));
-  }
   auto result = std::unique_ptr<ExactSynopsis>(
       new ExactSynopsis(std::move(projected_schema), vectorized_));
   for (const WeightedRow& r : rows_) {
@@ -221,19 +185,9 @@ Result<SynopsisPtr> ExactSynopsis::Filter(const plan::BoundExpr& predicate,
   return SynopsisPtr(std::move(result));
 }
 
-Result<GroupedEstimate> ExactSynopsis::EstimateGroups(
+Result<GroupedEstimate> ExactSynopsis::DoEstimateGroups(
     const std::vector<size_t>& group_columns,
     const std::vector<size_t>& agg_columns) const {
-  for (size_t g : group_columns) {
-    if (g >= schema_.num_fields()) {
-      return Status::OutOfRange("group column out of range");
-    }
-  }
-  for (size_t a : agg_columns) {
-    if (a != kCountOnlyColumn && a >= schema_.num_fields()) {
-      return Status::OutOfRange("aggregate column out of range");
-    }
-  }
   if (vectorized_ && !rows_.empty()) {
     return EstimateGroupsVectorized(group_columns, agg_columns);
   }

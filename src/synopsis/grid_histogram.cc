@@ -72,19 +72,6 @@ Status CheckCellWidth(double cell_width) {
   return Status::OK();
 }
 
-/// Integer points covered by cell `coord` along a dimension of width `w`:
-/// [ceil(coord*w), ceil((coord+1)*w) - 1].
-void IntegerPointsInCell(int64_t coord, double w,
-                         std::vector<double>* points) {
-  const int64_t lo = static_cast<int64_t>(std::ceil(coord * w));
-  const int64_t hi = static_cast<int64_t>(std::ceil((coord + 1) * w)) - 1;
-  points->clear();
-  for (int64_t v = lo; v <= hi; ++v) {
-    points->push_back(static_cast<double>(v));
-  }
-  if (points->empty()) points->push_back(coord * w);
-}
-
 }  // namespace
 
 Result<SynopsisPtr> GridHistogram::Make(Schema schema,
@@ -155,22 +142,17 @@ SynopsisPtr GridHistogram::Clone() const {
   return clone;
 }
 
-Result<SynopsisPtr> GridHistogram::UnionAllWith(const Synopsis& other,
-                                                OpStats* stats) const {
-  if (other.type() != SynopsisType::kGridHistogram) {
-    return Status::InvalidArgument(
-        "cannot union grid histogram with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+Status GridHistogram::CheckSameWidth(const GridHistogram& rhs) const {
+  if (rhs.config_.cell_width == config_.cell_width) return Status::OK();
+  return Status::InvalidArgument(
+      StringPrintf("grid cell widths differ (%g vs %g)", config_.cell_width,
+                   rhs.config_.cell_width));
+}
+
+Result<SynopsisPtr> GridHistogram::DoUnionAll(const Synopsis& other,
+                                              OpStats* stats) const {
   const auto& rhs = static_cast<const GridHistogram&>(other);
-  if (rhs.config_.cell_width != config_.cell_width) {
-    return Status::InvalidArgument(
-        StringPrintf("grid cell widths differ (%g vs %g)",
-                     config_.cell_width, rhs.config_.cell_width));
-  }
-  if (rhs.schema_.num_fields() != schema_.num_fields()) {
-    return Status::InvalidArgument("union of different-arity histograms");
-  }
+  DT_RETURN_IF_ERROR(CheckSameWidth(rhs));
   // One merge of the two ascending cell lists.
   auto result =
       std::unique_ptr<GridHistogram>(new GridHistogram(schema_, config_));
@@ -203,40 +185,11 @@ Result<SynopsisPtr> GridHistogram::UnionAllWith(const Synopsis& other,
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> GridHistogram::EquiJoinWith(
+Result<SynopsisPtr> GridHistogram::DoEquiJoin(
     const Synopsis& other, const std::vector<std::pair<size_t, size_t>>& keys,
-    OpStats* stats) const {
-  if (other.type() != SynopsisType::kGridHistogram) {
-    return Status::InvalidArgument(
-        "cannot join grid histogram with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+    Schema joined_schema, OpStats* stats) const {
   const auto& rhs = static_cast<const GridHistogram&>(other);
-  if (rhs.config_.cell_width != config_.cell_width) {
-    return Status::InvalidArgument(
-        StringPrintf("grid cell widths differ (%g vs %g)",
-                     config_.cell_width, rhs.config_.cell_width));
-  }
-  DT_ASSIGN_OR_RETURN(Schema joined_schema, [&]() -> Result<Schema> {
-    // Column names may collide across sides; uniquify with a side prefix.
-    Schema s;
-    for (const Field& f : schema_.fields()) {
-      DT_RETURN_IF_ERROR(s.AddField(Field{"l." + f.name, f.type}));
-    }
-    for (const Field& f : rhs.schema_.fields()) {
-      DT_RETURN_IF_ERROR(s.AddField(Field{"r." + f.name, f.type}));
-    }
-    return s;
-  }());
-
-  std::vector<size_t> left_keys, right_keys;
-  for (const auto& [l, r] : keys) {
-    if (l >= schema_.num_fields() || r >= rhs.schema_.num_fields()) {
-      return Status::OutOfRange("join key column out of range");
-    }
-    left_keys.push_back(l);
-    right_keys.push_back(r);
-  }
+  DT_RETURN_IF_ERROR(CheckSameWidth(rhs));
   // Index the right side's cells by their join-key coordinates. The stable
   // sort keeps cells with equal keys in ascending coordinate order, so
   // each left cell's matches append in ascending output order.
@@ -245,7 +198,7 @@ Result<SynopsisPtr> GridHistogram::EquiJoinWith(
   std::vector<int64_t> rkeys(m * nk);
   for (size_t j = 0; j < m; ++j) {
     const int64_t* rcoords = rhs.CellAt(j);
-    for (size_t k = 0; k < nk; ++k) rkeys[j * nk + k] = rcoords[right_keys[k]];
+    for (size_t k = 0; k < nk; ++k) rkeys[j * nk + k] = rcoords[keys[k].second];
   }
   std::vector<size_t> by_key(m);
   std::iota(by_key.begin(), by_key.end(), size_t{0});
@@ -270,14 +223,14 @@ Result<SynopsisPtr> GridHistogram::EquiJoinWith(
   // concatenated coordinates keeps the output sorted; every output cell
   // gets exactly one contribution.
   auto result = std::unique_ptr<GridHistogram>(
-      new GridHistogram(joined_schema, config_));
+      new GridHistogram(std::move(joined_schema), config_));
   std::vector<int64_t>& out = result->coords_;
   std::vector<int64_t> lkey(nk);
   int64_t work = static_cast<int64_t>(m);
   for (size_t i = 0; i < counts_.size(); ++i) {
     ++work;
     const int64_t* lcoords = CellAt(i);
-    for (size_t k = 0; k < nk; ++k) lkey[k] = lcoords[left_keys[k]];
+    for (size_t k = 0; k < nk; ++k) lkey[k] = lcoords[keys[k].first];
     for (size_t j = LowerBoundRow(sorted_keys.data(), m, nk, lkey.data());
          j < m &&
          CompareCoords(sorted_keys.data() + j * nk, lkey.data(), nk) == 0;
@@ -297,22 +250,9 @@ Result<SynopsisPtr> GridHistogram::EquiJoinWith(
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> GridHistogram::ProjectColumns(
-    const std::vector<size_t>& indices, const std::vector<std::string>& names,
+Result<SynopsisPtr> GridHistogram::DoProject(
+    const std::vector<size_t>& indices, Schema projected_schema,
     OpStats* stats) const {
-  if (indices.size() != names.size()) {
-    return Status::InvalidArgument(
-        "projection indices and names must have equal length");
-  }
-  Schema projected_schema;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= schema_.num_fields()) {
-      return Status::OutOfRange(
-          StringPrintf("projection index %zu out of range", indices[i]));
-    }
-    DT_RETURN_IF_ERROR(projected_schema.AddField(
-        Field{names[i], schema_.field(indices[i]).type}));
-  }
   auto result = std::unique_ptr<GridHistogram>(
       new GridHistogram(std::move(projected_schema), config_));
   const size_t n = counts_.size();
@@ -367,87 +307,21 @@ Result<SynopsisPtr> GridHistogram::Filter(const plan::BoundExpr& predicate,
   return SynopsisPtr(std::move(result));
 }
 
-Result<GroupedEstimate> GridHistogram::EstimateGroups(
+Result<GroupedEstimate> GridHistogram::DoEstimateGroups(
     const std::vector<size_t>& group_columns,
     const std::vector<size_t>& agg_columns) const {
-  for (size_t g : group_columns) {
-    if (g >= schema_.num_fields()) {
-      return Status::OutOfRange("group column out of range");
-    }
-  }
-  for (size_t a : agg_columns) {
-    if (a != kCountOnlyColumn && a >= schema_.num_fields()) {
-      return Status::OutOfRange("aggregate column out of range");
-    }
-  }
-
-  GroupedEstimate groups;
-  std::vector<double> dim_points;
+  BucketGroupWalk walk(schema_, group_columns, agg_columns);
+  std::vector<double> lo(arity()), hi(arity()), mid(arity());
   for (size_t i = 0; i < counts_.size(); ++i) {
     const int64_t* coords = CellAt(i);
-    const double count = counts_[i];
-    // Enumerate the group-coordinate points this cell spreads over:
-    // integer-typed columns get one point per covered integer; real-valued
-    // columns collapse to the cell midpoint.
-    std::vector<std::vector<double>> per_dim;
-    per_dim.reserve(group_columns.size());
-    for (size_t g : group_columns) {
-      if (schema_.field(g).type == FieldType::kInt64) {
-        IntegerPointsInCell(coords[g], config_.cell_width, &dim_points);
-        per_dim.push_back(dim_points);
-      } else {
-        per_dim.push_back({CellMidpoint(coords[g])});
-      }
+    for (size_t d = 0; d < arity(); ++d) {
+      lo[d] = static_cast<double>(coords[d]) * config_.cell_width;
+      hi[d] = static_cast<double>(coords[d] + 1) * config_.cell_width;
+      mid[d] = CellMidpoint(coords[d]);
     }
-    double num_points = 1.0;
-    for (const auto& pts : per_dim) {
-      num_points *= static_cast<double>(pts.size());
-    }
-    const double weight = count / num_points;
-
-    // Walk the cartesian product of per-dimension points.
-    std::vector<size_t> cursor(per_dim.size(), 0);
-    while (true) {
-      std::vector<Value> key;
-      key.reserve(group_columns.size());
-      for (size_t d = 0; d < per_dim.size(); ++d) {
-        const double v = per_dim[d][cursor[d]];
-        key.push_back(schema_.field(group_columns[d]).type ==
-                              FieldType::kInt64
-                          ? Value::Int64(static_cast<int64_t>(v))
-                          : Value::Double(v));
-      }
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      if (inserted) it->second.resize(agg_columns.size());
-      for (size_t a = 0; a < agg_columns.size(); ++a) {
-        if (agg_columns[a] == kCountOnlyColumn) {
-          it->second[a].count += weight;
-          continue;
-        }
-        // If the aggregate column is one of the group columns, its value
-        // at this point is the point coordinate itself; otherwise use the
-        // cell midpoint along that column.
-        double value = CellMidpoint(coords[agg_columns[a]]);
-        for (size_t d = 0; d < group_columns.size(); ++d) {
-          if (group_columns[d] == agg_columns[a]) {
-            value = per_dim[d][cursor[d]];
-            break;
-          }
-        }
-        it->second[a].Add(value, weight);
-      }
-      // Advance the cartesian-product cursor.
-      size_t d = 0;
-      for (; d < cursor.size(); ++d) {
-        if (++cursor[d] < per_dim[d].size()) break;
-        cursor[d] = 0;
-      }
-      // All combinations visited (also exits immediately for the empty
-      // group-by, whose single global group was handled above).
-      if (d == cursor.size()) break;
-    }
+    walk.Spread(lo.data(), hi.data(), mid.data(), counts_[i]);
   }
-  return groups;
+  return walk.Take();
 }
 
 double GridHistogram::EstimatePointCount(const Tuple& point) const {

@@ -49,20 +49,8 @@ class GridHistogram final : public Synopsis {
   size_t MemoryBytes() const override;
   SynopsisPtr Clone() const override;
 
-  Result<SynopsisPtr> UnionAllWith(const Synopsis& other,
-                                   OpStats* stats) const override;
-  Result<SynopsisPtr> EquiJoinWith(
-      const Synopsis& other,
-      const std::vector<std::pair<size_t, size_t>>& keys,
-      OpStats* stats) const override;
-  Result<SynopsisPtr> ProjectColumns(const std::vector<size_t>& indices,
-                                     const std::vector<std::string>& names,
-                                     OpStats* stats) const override;
   Result<SynopsisPtr> Filter(const plan::BoundExpr& predicate,
                              OpStats* stats) const override;
-  Result<GroupedEstimate> EstimateGroups(
-      const std::vector<size_t>& group_columns,
-      const std::vector<size_t>& agg_columns) const override;
   double EstimatePointCount(const Tuple& point) const override;
 
   void SaveState(serde::Writer* writer) const override;
@@ -82,9 +70,24 @@ class GridHistogram final : public Synopsis {
   }
 
  private:
+  Result<SynopsisPtr> DoUnionAll(const Synopsis& other,
+                                 OpStats* stats) const override;
+  Result<SynopsisPtr> DoEquiJoin(
+      const Synopsis& other,
+      const std::vector<std::pair<size_t, size_t>>& keys,
+      Schema joined_schema, OpStats* stats) const override;
+  Result<SynopsisPtr> DoProject(const std::vector<size_t>& indices,
+                                Schema projected_schema,
+                                OpStats* stats) const override;
+  Result<GroupedEstimate> DoEstimateGroups(
+      const std::vector<size_t>& group_columns,
+      const std::vector<size_t>& agg_columns) const override;
+
   GridHistogram(Schema schema, const GridHistogramConfig& config)
       : Synopsis(std::move(schema)), config_(config) {}
 
+  /// InvalidArgument unless `rhs` has this histogram's cell width.
+  Status CheckSameWidth(const GridHistogram& rhs) const;
   size_t arity() const { return schema_.num_fields(); }
   int64_t CellCoord(double value) const;
   /// Writes the coordinates of the cell holding `tuple` to `key`.

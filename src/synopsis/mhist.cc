@@ -6,7 +6,6 @@
 
 #include "src/common/mem_accounting.h"
 #include "src/common/serde.h"
-#include "src/common/string_util.h"
 #include "src/tuple/serde.h"
 
 namespace datatriage::synopsis {
@@ -240,17 +239,9 @@ SynopsisPtr MHist::Clone() const {
   return clone;
 }
 
-Result<SynopsisPtr> MHist::UnionAllWith(const Synopsis& other,
-                                        OpStats* stats) const {
-  if (other.type() != type()) {
-    return Status::InvalidArgument(
-        "cannot union " + std::string(SynopsisTypeToString(type())) +
-        " with " + std::string(SynopsisTypeToString(other.type())));
-  }
+Result<SynopsisPtr> MHist::DoUnionAll(const Synopsis& other,
+                                      OpStats* stats) const {
   const auto& rhs = static_cast<const MHist&>(other);
-  if (rhs.schema_.num_fields() != schema_.num_fields()) {
-    return Status::InvalidArgument("union of different-arity histograms");
-  }
   int64_t work = EnsureBuilt() + rhs.EnsureBuilt();
   auto result = std::unique_ptr<MHist>(new MHist(schema_, config_));
   result->built_ = true;
@@ -264,27 +255,10 @@ Result<SynopsisPtr> MHist::UnionAllWith(const Synopsis& other,
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> MHist::EquiJoinWith(
+Result<SynopsisPtr> MHist::DoEquiJoin(
     const Synopsis& other, const std::vector<std::pair<size_t, size_t>>& keys,
-    OpStats* stats) const {
-  if (other.type() != type()) {
-    return Status::InvalidArgument(
-        "cannot join " + std::string(SynopsisTypeToString(type())) +
-        " with " + std::string(SynopsisTypeToString(other.type())));
-  }
+    Schema joined_schema, OpStats* stats) const {
   const auto& rhs = static_cast<const MHist&>(other);
-  for (const auto& [l, r] : keys) {
-    if (l >= schema_.num_fields() || r >= rhs.schema_.num_fields()) {
-      return Status::OutOfRange("join key column out of range");
-    }
-  }
-  Schema joined_schema;
-  for (const Field& f : schema_.fields()) {
-    DT_RETURN_IF_ERROR(joined_schema.AddField(Field{"l." + f.name, f.type}));
-  }
-  for (const Field& f : rhs.schema_.fields()) {
-    DT_RETURN_IF_ERROR(joined_schema.AddField(Field{"r." + f.name, f.type}));
-  }
   int64_t work = EnsureBuilt() + rhs.EnsureBuilt();
 
   auto result = std::unique_ptr<MHist>(
@@ -365,22 +339,9 @@ Result<SynopsisPtr> MHist::EquiJoinWith(
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> MHist::ProjectColumns(
-    const std::vector<size_t>& indices, const std::vector<std::string>& names,
-    OpStats* stats) const {
-  if (indices.size() != names.size()) {
-    return Status::InvalidArgument(
-        "projection indices and names must have equal length");
-  }
-  Schema projected_schema;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= schema_.num_fields()) {
-      return Status::OutOfRange(
-          StringPrintf("projection index %zu out of range", indices[i]));
-    }
-    DT_RETURN_IF_ERROR(projected_schema.AddField(
-        Field{names[i], schema_.field(indices[i]).type}));
-  }
+Result<SynopsisPtr> MHist::DoProject(const std::vector<size_t>& indices,
+                                     Schema projected_schema,
+                                     OpStats* stats) const {
   int64_t work = EnsureBuilt();
   auto result = std::unique_ptr<MHist>(
       new MHist(std::move(projected_schema), config_));
@@ -423,83 +384,17 @@ Result<SynopsisPtr> MHist::Filter(const plan::BoundExpr& predicate,
   return SynopsisPtr(std::move(result));
 }
 
-Result<GroupedEstimate> MHist::EstimateGroups(
+Result<GroupedEstimate> MHist::DoEstimateGroups(
     const std::vector<size_t>& group_columns,
     const std::vector<size_t>& agg_columns) const {
-  for (size_t g : group_columns) {
-    if (g >= schema_.num_fields()) {
-      return Status::OutOfRange("group column out of range");
-    }
-  }
-  for (size_t a : agg_columns) {
-    if (a != kCountOnlyColumn && a >= schema_.num_fields()) {
-      return Status::OutOfRange("aggregate column out of range");
-    }
-  }
   EnsureBuilt();
-  GroupedEstimate groups;
-  for (const Bucket& bucket : buckets_) {
-    std::vector<std::vector<double>> per_dim;
-    per_dim.reserve(group_columns.size());
-    for (size_t g : group_columns) {
-      std::vector<double> points;
-      if (schema_.field(g).type == FieldType::kInt64) {
-        const int64_t lo = static_cast<int64_t>(std::ceil(bucket.lo[g]));
-        const int64_t hi =
-            static_cast<int64_t>(std::ceil(bucket.hi[g])) - 1;
-        for (int64_t v = lo; v <= hi; ++v) {
-          points.push_back(static_cast<double>(v));
-        }
-        if (points.empty()) points.push_back(bucket.lo[g]);
-      } else {
-        points.push_back((bucket.lo[g] + bucket.hi[g]) / 2.0);
-      }
-      per_dim.push_back(std::move(points));
-    }
-    double num_points = 1.0;
-    for (const auto& pts : per_dim) {
-      num_points *= static_cast<double>(pts.size());
-    }
-    const double weight = bucket.count / num_points;
-
-    std::vector<size_t> cursor(per_dim.size(), 0);
-    while (true) {
-      std::vector<Value> key;
-      key.reserve(group_columns.size());
-      for (size_t d = 0; d < per_dim.size(); ++d) {
-        const double v = per_dim[d][cursor[d]];
-        key.push_back(schema_.field(group_columns[d]).type ==
-                              FieldType::kInt64
-                          ? Value::Int64(static_cast<int64_t>(v))
-                          : Value::Double(v));
-      }
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      if (inserted) it->second.resize(agg_columns.size());
-      for (size_t a = 0; a < agg_columns.size(); ++a) {
-        if (agg_columns[a] == kCountOnlyColumn) {
-          it->second[a].count += weight;
-          continue;
-        }
-        double value = (bucket.lo[agg_columns[a]] +
-                        bucket.hi[agg_columns[a]]) /
-                       2.0;
-        for (size_t d = 0; d < group_columns.size(); ++d) {
-          if (group_columns[d] == agg_columns[a]) {
-            value = per_dim[d][cursor[d]];
-            break;
-          }
-        }
-        it->second[a].Add(value, weight);
-      }
-      size_t d = 0;
-      for (; d < cursor.size(); ++d) {
-        if (++cursor[d] < per_dim[d].size()) break;
-        cursor[d] = 0;
-      }
-      if (d == cursor.size()) break;
-    }
+  BucketGroupWalk walk(schema_, group_columns, agg_columns);
+  std::vector<double> mid(schema_.num_fields());
+  for (const Bucket& b : buckets_) {
+    for (size_t d = 0; d < mid.size(); ++d) mid[d] = (b.lo[d] + b.hi[d]) / 2.0;
+    walk.Spread(b.lo.data(), b.hi.data(), mid.data(), b.count);
   }
-  return groups;
+  return walk.Take();
 }
 
 double MHist::EstimatePointCount(const Tuple& point) const {

@@ -1,7 +1,6 @@
 #include "src/synopsis/reservoir_sample.h"
 
 #include "src/common/serde.h"
-#include "src/common/string_util.h"
 #include "src/tuple/serde.h"
 
 namespace datatriage::synopsis {
@@ -77,17 +76,9 @@ SynopsisPtr ReservoirSample::Clone() const {
   return clone;
 }
 
-Result<SynopsisPtr> ReservoirSample::UnionAllWith(const Synopsis& other,
-                                                  OpStats* stats) const {
-  if (other.type() != SynopsisType::kReservoirSample) {
-    return Status::InvalidArgument(
-        "cannot union reservoir sample with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+Result<SynopsisPtr> ReservoirSample::DoUnionAll(const Synopsis& other,
+                                                OpStats* stats) const {
   const auto& rhs = static_cast<const ReservoirSample&>(other);
-  if (rhs.schema_.num_fields() != schema_.num_fields()) {
-    return Status::InvalidArgument("union of different-arity synopses");
-  }
   auto result = std::unique_ptr<ReservoirSample>(
       new ReservoirSample(schema_, config_));
   result->materialized_ = true;
@@ -102,22 +93,10 @@ Result<SynopsisPtr> ReservoirSample::UnionAllWith(const Synopsis& other,
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> ReservoirSample::EquiJoinWith(
+Result<SynopsisPtr> ReservoirSample::DoEquiJoin(
     const Synopsis& other, const std::vector<std::pair<size_t, size_t>>& keys,
-    OpStats* stats) const {
-  if (other.type() != SynopsisType::kReservoirSample) {
-    return Status::InvalidArgument(
-        "cannot join reservoir sample with " +
-        std::string(SynopsisTypeToString(other.type())));
-  }
+    Schema joined_schema, OpStats* stats) const {
   const auto& rhs = static_cast<const ReservoirSample&>(other);
-  Schema joined_schema;
-  for (const Field& f : schema_.fields()) {
-    DT_RETURN_IF_ERROR(joined_schema.AddField(Field{"l." + f.name, f.type}));
-  }
-  for (const Field& f : rhs.schema_.fields()) {
-    DT_RETURN_IF_ERROR(joined_schema.AddField(Field{"r." + f.name, f.type}));
-  }
   auto result = std::unique_ptr<ReservoirSample>(
       new ReservoirSample(std::move(joined_schema), config_));
   result->materialized_ = true;
@@ -147,22 +126,9 @@ Result<SynopsisPtr> ReservoirSample::EquiJoinWith(
   return SynopsisPtr(std::move(result));
 }
 
-Result<SynopsisPtr> ReservoirSample::ProjectColumns(
-    const std::vector<size_t>& indices, const std::vector<std::string>& names,
+Result<SynopsisPtr> ReservoirSample::DoProject(
+    const std::vector<size_t>& indices, Schema projected_schema,
     OpStats* stats) const {
-  if (indices.size() != names.size()) {
-    return Status::InvalidArgument(
-        "projection indices and names must have equal length");
-  }
-  Schema projected_schema;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= schema_.num_fields()) {
-      return Status::OutOfRange(
-          StringPrintf("projection index %zu out of range", indices[i]));
-    }
-    DT_RETURN_IF_ERROR(projected_schema.AddField(
-        Field{names[i], schema_.field(indices[i]).type}));
-  }
   auto result = std::unique_ptr<ReservoirSample>(
       new ReservoirSample(std::move(projected_schema), config_));
   result->materialized_ = true;
@@ -188,14 +154,9 @@ Result<SynopsisPtr> ReservoirSample::Filter(const plan::BoundExpr& predicate,
   return SynopsisPtr(std::move(result));
 }
 
-Result<GroupedEstimate> ReservoirSample::EstimateGroups(
+Result<GroupedEstimate> ReservoirSample::DoEstimateGroups(
     const std::vector<size_t>& group_columns,
     const std::vector<size_t>& agg_columns) const {
-  for (size_t g : group_columns) {
-    if (g >= schema_.num_fields()) {
-      return Status::OutOfRange("group column out of range");
-    }
-  }
   GroupedEstimate groups;
   for (const WeightedRow& r : ScaledRows()) {
     std::vector<Value> key;
@@ -207,9 +168,6 @@ Result<GroupedEstimate> ReservoirSample::EstimateGroups(
       if (agg_columns[a] == kCountOnlyColumn) {
         it->second[a].count += r.weight;
       } else {
-        if (agg_columns[a] >= schema_.num_fields()) {
-          return Status::OutOfRange("aggregate column out of range");
-        }
         it->second[a].Add(r.tuple.value(agg_columns[a]).AsDouble(),
                           r.weight);
       }

@@ -86,9 +86,13 @@ using SynopsisPtr = std::unique_ptr<Synopsis>;
 /// algebra the shadow plan needs (paper Sec. 5.1): projection, multiset
 /// union, equijoin, and selection. All columns must be numeric.
 ///
-/// Concrete types only combine with the same type and compatible
-/// parameters; mismatches return InvalidArgument rather than silently
-/// degrading.
+/// Union, join, projection and grouped estimation are non-virtual front
+/// doors: they check every argument once for all families — same type,
+/// same arity for a union, every column index in range, as many names as
+/// indices — build the result schema, and only then call the concrete
+/// type's hook. Mismatches return InvalidArgument (type, arity, name
+/// count) or OutOfRange (a column index) rather than silently degrading;
+/// a hook checks only its own parameters, such as cell widths.
 class Synopsis {
  public:
   virtual ~Synopsis() = default;
@@ -124,24 +128,25 @@ class Synopsis {
   // Operations never mutate their inputs.
   // ------------------------------------------------------------------
 
-  /// Approximate UNION ALL. `other` must match in type, parameters, and
-  /// schema column types.
-  virtual Result<SynopsisPtr> UnionAllWith(const Synopsis& other,
-                                           OpStats* stats) const = 0;
+  /// Approximate UNION ALL. `other` must match in type and arity, and in
+  /// the type's own parameters.
+  Result<SynopsisPtr> UnionAllWith(const Synopsis& other,
+                                   OpStats* stats) const;
 
   /// Approximate equijoin; `keys` pairs (this column, other column). The
-  /// result schema is this->schema() ++ other.schema() (names uniquified
-  /// by the caller's plan layer).
-  virtual Result<SynopsisPtr> EquiJoinWith(
+  /// result schema is this->schema() ++ other.schema(), with names
+  /// prefixed "l." and "r." so the sides cannot collide (plans address
+  /// columns by position).
+  Result<SynopsisPtr> EquiJoinWith(
       const Synopsis& other,
       const std::vector<std::pair<size_t, size_t>>& keys,
-      OpStats* stats) const = 0;
+      OpStats* stats) const;
 
   /// Projection onto `indices`, renamed to `names` (multiset semantics:
   /// counts are preserved, not deduplicated).
-  virtual Result<SynopsisPtr> ProjectColumns(
-      const std::vector<size_t>& indices,
-      const std::vector<std::string>& names, OpStats* stats) const = 0;
+  Result<SynopsisPtr> ProjectColumns(const std::vector<size_t>& indices,
+                                     const std::vector<std::string>& names,
+                                     OpStats* stats) const;
 
   /// Approximate selection. Histogram implementations evaluate the
   /// predicate at bucket representatives and keep or discard whole
@@ -154,9 +159,9 @@ class Synopsis {
   /// accumulator (kCountOnlyColumn for COUNT(*)). Integer-typed group
   /// columns are enumerated point-by-point within buckets; real-valued
   /// ones collapse to bucket representatives.
-  virtual Result<GroupedEstimate> EstimateGroups(
+  Result<GroupedEstimate> EstimateGroups(
       const std::vector<size_t>& group_columns,
-      const std::vector<size_t>& agg_columns) const = 0;
+      const std::vector<size_t>& agg_columns) const;
 
   /// Estimated count of tuples equal to `point` on all columns
   /// (selectivity-style point estimate; used by tests and the
@@ -182,6 +187,64 @@ class Synopsis {
   explicit Synopsis(Schema schema) : schema_(std::move(schema)) {}
 
   Schema schema_;
+
+ private:
+  // Per-type algebra hooks, called by the front doors above once every
+  // argument is known to be legal: `other` has this synopsis's type, and
+  // every column index is in range. The joined and projected schemas
+  // arrive built.
+  virtual Result<SynopsisPtr> DoUnionAll(const Synopsis& other,
+                                         OpStats* stats) const = 0;
+  virtual Result<SynopsisPtr> DoEquiJoin(
+      const Synopsis& other,
+      const std::vector<std::pair<size_t, size_t>>& keys,
+      Schema joined_schema, OpStats* stats) const = 0;
+  virtual Result<SynopsisPtr> DoProject(const std::vector<size_t>& indices,
+                                        Schema projected_schema,
+                                        OpStats* stats) const = 0;
+  virtual Result<GroupedEstimate> DoEstimateGroups(
+      const std::vector<size_t>& group_columns,
+      const std::vector<size_t>& agg_columns) const = 0;
+};
+
+/// The group-point walk of the bucket histograms (grid and MHIST): each
+/// bucket's count is spread uniformly over the group points it covers.
+/// An integer-typed group column contributes one point per integer in
+/// the bucket's extent [lo, hi) (its lower bound when none fits); a
+/// real-valued one collapses to the bucket's representative value. An
+/// aggregate column takes the point's coordinate when it is also a group
+/// column, and the representative otherwise. Points are visited with the
+/// first group column varying fastest, and the point buffers are reused
+/// from one bucket to the next.
+class BucketGroupWalk {
+ public:
+  /// `group_columns` and `agg_columns` must be in range for `schema` and
+  /// outlive the walk.
+  BucketGroupWalk(const Schema& schema,
+                  const std::vector<size_t>& group_columns,
+                  const std::vector<size_t>& agg_columns);
+
+  /// Spreads `count` over one bucket whose extent along column c is
+  /// [lo[c], hi[c]) with representative value mid[c]; each array has one
+  /// entry per schema column.
+  void Spread(const double* lo, const double* hi, const double* mid,
+              double count);
+
+  GroupedEstimate Take() { return std::move(groups_); }
+
+ private:
+  const std::vector<size_t>& group_columns_;
+  const std::vector<size_t>& agg_columns_;
+  /// Per group column: whether it is integer-typed.
+  std::vector<bool> integral_;
+  /// Per aggregate: the first group dimension over the same column, or
+  /// group_columns_.size() when there is none.
+  std::vector<size_t> agg_group_dim_;
+  /// Per group column: the current bucket's points.
+  std::vector<std::vector<double>> points_;
+  std::vector<size_t> cursor_;
+  std::vector<Value> key_;
+  GroupedEstimate groups_;
 };
 
 }  // namespace datatriage::synopsis

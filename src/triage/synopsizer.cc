@@ -7,24 +7,10 @@
 namespace datatriage::triage {
 
 WindowSynopsizer::WindowSynopsizer(std::string stream, Schema schema,
-                                   synopsis::SynopsisConfig config,
-                                   VirtualDuration window_seconds)
+                                   synopsis::SynopsisConfig config)
     : stream_(std::move(stream)),
       schema_(std::move(schema)),
-      config_(config),
-      window_seconds_(window_seconds) {
-  DT_CHECK_GT(window_seconds_, 0.0);
-}
-
-Status WindowSynopsizer::AddDropped(const Tuple& tuple) {
-  return AddDroppedToWindow(
-      tuple, WindowIdFor(tuple.timestamp(), window_seconds_));
-}
-
-Status WindowSynopsizer::AddKept(const Tuple& tuple) {
-  return AddKeptToWindow(tuple,
-                         WindowIdFor(tuple.timestamp(), window_seconds_));
-}
+      config_(config) {}
 
 WindowSynopsizer::PerWindow* WindowSynopsizer::WindowSlot(
     WindowId window_id) {

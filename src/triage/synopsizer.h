@@ -26,31 +26,22 @@ struct SynopsizerInstruments {
 
 /// Per-stream builder of the auxiliary synopsis streams of paper Sec. 5.1:
 /// one kept-tuple synopsis and one dropped-tuple synopsis per time window
-/// (R_kept_syn / R_dropped_syn). Tuples are routed to the window their
-/// timestamp falls in; at emission time the engine takes both synopses and
+/// (R_kept_syn / R_dropped_syn). The caller names the window each tuple
+/// is folded into; at emission time the engine takes both synopses and
 /// feeds them to the shadow plan.
 class WindowSynopsizer {
  public:
   WindowSynopsizer(std::string stream, Schema schema,
-                   synopsis::SynopsisConfig config,
-                   VirtualDuration window_seconds);
+                   synopsis::SynopsisConfig config);
 
   WindowSynopsizer(const WindowSynopsizer&) = delete;
   WindowSynopsizer& operator=(const WindowSynopsizer&) = delete;
   WindowSynopsizer(WindowSynopsizer&&) = default;
   WindowSynopsizer& operator=(WindowSynopsizer&&) = default;
 
-  /// Folds a shed tuple into its window's dropped synopsis, routing by
-  /// timestamp (tumbling windows of `window_seconds`).
-  Status AddDropped(const Tuple& tuple);
-
-  /// Folds a processed tuple into its window's kept synopsis, routing by
-  /// timestamp.
-  Status AddKept(const Tuple& tuple);
-
-  /// Window-addressed variants: the caller chooses the target window
-  /// (required for sliding windows, where one tuple feeds several
-  /// windows and kept/dropped status is decided per window).
+  /// Folds a shed (dropped) or processed (kept) tuple into `window`'s
+  /// synopsis. The caller chooses the window: under sliding windows one
+  /// tuple feeds several, and kept/dropped status is decided per window.
   Status AddDroppedToWindow(const Tuple& tuple, WindowId window);
   Status AddKeptToWindow(const Tuple& tuple, WindowId window);
 
@@ -71,7 +62,6 @@ class WindowSynopsizer {
   const synopsis::Synopsis* PeekDropped(WindowId window) const;
 
   const std::string& stream() const { return stream_; }
-  VirtualDuration window_seconds() const { return window_seconds_; }
 
   /// Attaches metrics hooks; the pointed-to instruments must outlive the
   /// synopsizer.
@@ -116,7 +106,6 @@ class WindowSynopsizer {
   Schema schema_;
   SynopsizerInstruments instruments_;
   synopsis::SynopsisConfig config_;
-  VirtualDuration window_seconds_;
   mem::SessionAccount* account_ = nullptr;
   size_t accounted_bytes_ = 0;
   std::map<WindowId, PerWindow> windows_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "tests/test_util.h"
 
 namespace datatriage::io {
@@ -55,6 +58,28 @@ TEST(CsvTest, ParseErrorsCarryLineNumbers) {
 
   auto short_line = ParseEventsCsv("r\n", catalog);
   EXPECT_FALSE(short_line.ok());
+}
+
+TEST(CsvTest, IntegerOverflowIsAParseError) {
+  Catalog catalog = PaperCatalog();
+  for (const char* huge :
+       {"99999999999999999999999", "-99999999999999999999999",
+        "9223372036854775808", "-9223372036854775809"}) {
+    auto events =
+        ParseEventsCsv(std::string("r,0.5,1\nr,0.6,") + huge + "\n", catalog);
+    ASSERT_FALSE(events.ok()) << huge;
+    EXPECT_EQ(events.status().code(), StatusCode::kParseError);
+    EXPECT_NE(events.status().message().find("line 2"), std::string::npos)
+        << events.status().ToString();
+    EXPECT_NE(events.status().message().find(huge), std::string::npos)
+        << events.status().ToString();
+  }
+  // The ends of the range still parse.
+  auto edges = ParseEventsCsv(
+      "r,0.5,9223372036854775807\nr,0.6,-9223372036854775808\n", catalog);
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ((*edges)[0].tuple.value(0).int64(), INT64_MAX);
+  EXPECT_EQ((*edges)[1].tuple.value(0).int64(), INT64_MIN);
 }
 
 TEST(CsvTest, EventsRoundTrip) {

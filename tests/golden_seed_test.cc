@@ -1,6 +1,7 @@
 // Golden seed sweep: runs the paper's Fig. 8 scenario for seeds 1-5
 // under a fixed Data Triage configuration and pins the MD5 of each
-// results CSV. Any change to the generator, the shedding pipeline, the
+// results CSV, pins every synopsis family's exact estimates under
+// overload, and pins a MATCH scenario. Any change to the generator, the shedding pipeline, the
 // shadow plan, or CSV formatting that perturbs output bytes shows up
 // here as a digest mismatch — an intentional tripwire. When a change is
 // *meant* to alter results, re-pin by running the test and copying the
@@ -15,6 +16,7 @@
 
 #include "src/common/digest.h"
 #include "src/common/random.h"
+#include "src/common/string_util.h"
 #include "src/engine/engine.h"
 #include "src/io/csv.h"
 #include "src/synopsis/factory.h"
@@ -30,10 +32,14 @@ struct GoldenSeed {
   const char* results_md5;
 };
 
-Result<std::string> RunFig8Scenario(uint64_t seed) {
+/// Runs the paper's Fig. 8 scenario under Data Triage with the given
+/// synopsis family.
+Result<std::vector<engine::WindowResult>> RunFig8Windows(
+    uint64_t seed, const synopsis::SynopsisConfig& synopsis,
+    double rate_per_stream = 100.0) {
   workload::ScenarioConfig config;
   config.tuples_per_stream = 400;
-  config.rate_per_stream = 100.0;
+  config.rate_per_stream = rate_per_stream;
   config.tuples_per_window = 50.0;
   config.seed = seed;
   auto scenario = workload::BuildPaperScenario(config);
@@ -42,8 +48,7 @@ Result<std::string> RunFig8Scenario(uint64_t seed) {
   engine::EngineConfig engine_config;
   engine_config.strategy = triage::SheddingStrategy::kDataTriage;
   engine_config.queue_capacity = 60;
-  engine_config.synopsis.type = synopsis::SynopsisType::kGridHistogram;
-  engine_config.synopsis.grid.cell_width = 4.0;
+  engine_config.synopsis = synopsis;
   auto engine = engine::ContinuousQueryEngine::Make(
       scenario->catalog, scenario->query_sql, engine_config);
   if (!engine.ok()) return engine.status();
@@ -54,7 +59,16 @@ Result<std::string> RunFig8Scenario(uint64_t seed) {
   }
   Status status = (*engine)->Finish();
   if (!status.ok()) return status;
-  return io::FormatResultsCsv((*engine)->TakeResults(), {"b", "value"});
+  return (*engine)->TakeResults();
+}
+
+Result<std::string> RunFig8Scenario(uint64_t seed) {
+  synopsis::SynopsisConfig grid;
+  grid.type = synopsis::SynopsisType::kGridHistogram;
+  grid.grid.cell_width = 4.0;
+  DT_ASSIGN_OR_RETURN(std::vector<engine::WindowResult> results,
+                      RunFig8Windows(seed, grid));
+  return io::FormatResultsCsv(results, {"b", "value"});
 }
 
 TEST(GoldenSeedTest, Fig8ScenarioDigestsArePinned) {
@@ -71,6 +85,83 @@ TEST(GoldenSeedTest, Fig8ScenarioDigestsArePinned) {
     EXPECT_EQ(Md5Hex(*csv), golden.results_md5)
         << "seed " << golden.seed
         << ": results CSV drifted from the pinned golden output";
+  }
+}
+
+/// The results CSV prints doubles as %.12g, which cannot see a one-ulp
+/// change in an estimate. This appends every window's shadow estimate and
+/// merged rows as exact hex doubles (%a).
+std::string ExactResultsText(
+    const std::vector<engine::WindowResult>& results) {
+  std::string out = io::FormatResultsCsv(results, {"b", "value"});
+  auto put = [&out](double v) { out += StringPrintf("%a,", v); };
+  for (const engine::WindowResult& result : results) {
+    out += StringPrintf("window %lld\n",
+                        static_cast<long long>(result.window));
+    for (const auto& [key, accumulators] : result.shadow_estimate) {
+      for (const Value& v : key) put(v.AsDouble());
+      for (const synopsis::AggAccumulator& acc : accumulators) {
+        put(acc.count);
+        put(acc.sum);
+        put(acc.min);
+        put(acc.max);
+      }
+      out += '\n';
+    }
+    for (const Tuple& row : result.merged_rows) {
+      for (const Value& v : row.values()) put(v.AsDouble());
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+struct FamilyDigest {
+  const char* name;
+  synopsis::SynopsisConfig config;
+  const char* digest_md5;
+};
+
+/// The Fig. 8 pins above run the grid histogram only, at a rate (300
+/// tuples/s in all) below the engine's capacity, so nothing is shed. These
+/// run 1,200 tuples/s, where about two thirds of the tuples are shed, under
+/// every synopsis family with parameters small enough to be lossy (the
+/// grid at a width whose sums round), so a change to a synopsis operator
+/// that moves any estimate by one ulp fails here.
+TEST(GoldenSeedTest, SynopsisFamilyDigestsArePinned) {
+  using synopsis::SynopsisType;
+  auto family = [](SynopsisType type) {
+    synopsis::SynopsisConfig config;
+    config.type = type;
+    config.mhist.max_buckets = 8;
+    config.mhist.alignment_step = 3.0;
+    config.reservoir.capacity = 16;
+    config.avi.cell_width = 3.0;
+    config.grid.cell_width = 3.0;
+    return config;
+  };
+  const FamilyDigest kGolden[] = {
+      {"mhist", family(SynopsisType::kMHist),
+       "7028b63493f739bb00454156d30fa751"},
+      {"aligned_mhist", family(SynopsisType::kAlignedMHist),
+       "c0a05c89fb55a14d6866865049786510"},
+      {"avi_histogram", family(SynopsisType::kAviHistogram),
+       "e7b8e736c66151b3a27b68ef40802a17"},
+      {"reservoir_sample", family(SynopsisType::kReservoirSample),
+       "88e7b4fbb93f800f5e0b5b91d07c6310"},
+      {"exact", family(SynopsisType::kExact),
+       "f002c0a8ad0428affa38dfe7894b9010"},
+      {"grid_histogram", family(SynopsisType::kGridHistogram),
+       "b7f52fc60494078d2f6fc45f6fc78e08"},
+  };
+  for (const FamilyDigest& golden : kGolden) {
+    auto results =
+        RunFig8Windows(/*seed=*/1, golden.config, /*rate_per_stream=*/400.0);
+    ASSERT_TRUE(results.ok()) << golden.name << ": "
+                              << results.status().ToString();
+    EXPECT_EQ(Md5Hex(ExactResultsText(*results)), golden.digest_md5)
+        << golden.name
+        << ": estimates drifted from the pinned golden output";
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace datatriage::sql {
 namespace {
 
@@ -110,6 +113,24 @@ TEST(LexerTest, ErrorsOnUnterminatedString) {
 TEST(LexerTest, ErrorsOnStrayCharacter) {
   EXPECT_FALSE(Tokenize("select @").ok());
   EXPECT_FALSE(Tokenize("a ! b").ok());
+}
+
+TEST(LexerTest, IntegerLiteralOverflowIsAParseError) {
+  // The minus sign is its own token, so -9223372036854775808 overflows
+  // too rather than turning into -INT64_MAX.
+  for (const char* huge : {"99999999999999999999999", "9223372036854775808"}) {
+    for (const std::string& text :
+         {std::string("a = ") + huge, std::string("a = -") + huge}) {
+      auto result = Tokenize(text);
+      ASSERT_FALSE(result.ok()) << text;
+      EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+      EXPECT_NE(result.status().message().find(huge), std::string::npos)
+          << result.status().ToString();
+    }
+  }
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->front().int_value, INT64_MAX);
 }
 
 TEST(LexerTest, PaperQueryLexesCleanly) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <vector>
+
+#include "src/plan/binder.h"
+#include "src/rewrite/data_triage_rewrite.h"
+#include "tests/test_util.h"
+
 namespace datatriage::sql {
 namespace {
 
@@ -181,6 +189,81 @@ TEST(ParserTest, WindowClauseWithoutSemicolonAlsoAccepted) {
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   ASSERT_EQ(stmt->select->windows.size(), 1u);
   EXPECT_DOUBLE_EQ(stmt->select->windows[0].seconds, 2.0);
+}
+
+// --- Expression depth limit -------------------------------------------
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+/// A WHERE predicate of each hostile shape whose expression tree is
+/// `depth` nodes deep, or (parentheses) that nests `depth` levels.
+std::vector<std::string> PredicatesOfDepth(int depth) {
+  return {
+      Repeat("(", depth) + "a = 1" + Repeat(")", depth),
+      Repeat("NOT ", depth - 2) + "a = 1",
+      "a = 1" + Repeat(" AND a = 1", depth - 2),
+      "a = a" + Repeat(" + 1", depth - 2),
+      "a = " + Repeat("- ", depth - 2) + "1",
+  };
+}
+
+Result<Statement> ParseWhere(const std::string& predicate) {
+  return ParseStatement("SELECT a FROM R WHERE " + predicate);
+}
+
+// The time each hostile statement may take. AddressSanitizer builds at
+// -O0 lex these ~10^5-token inputs about twenty times slower than the
+// optimized build, so they get a budget that still catches a hang but
+// not instrumentation overhead.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr auto kHostileParseBudget = std::chrono::seconds(10);
+#else
+constexpr auto kHostileParseBudget = std::chrono::seconds(1);
+#endif
+
+// Each shape, 5,000 or 50,000 deep, once overflowed the stack: nested
+// parentheses and NOTs in the parser, an AND chain in the rewrite and a
+// `+` chain in the binder.
+TEST(ParserTest, DeepExpressionsReturnInvalidArgumentFast) {
+  const std::string limit = std::to_string(kMaxExpressionDepth);
+  const std::vector<std::string> hostile = {
+      Repeat("(", 5000) + "a = 1" + Repeat(")", 5000),
+      Repeat("NOT ", 50000) + "a = 1",
+      "a = 1" + Repeat(" AND a = 1", 49999),
+      "a = a" + Repeat(" + 1", 49999),
+  };
+  for (const std::string& predicate : hostile) {
+    const auto start = std::chrono::steady_clock::now();
+    auto stmt = ParseWhere(predicate);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, kHostileParseBudget);
+    ASSERT_FALSE(stmt.ok()) << predicate.substr(0, 40);
+    EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(stmt.status().message().find(limit), std::string::npos)
+        << stmt.status().ToString();
+  }
+}
+
+TEST(ParserTest, ExpressionsAtTheDepthLimitParseBindAndRewrite) {
+  const Catalog catalog = testing::PaperCatalog();
+  for (const std::string& predicate : PredicatesOfDepth(kMaxExpressionDepth)) {
+    auto stmt = ParseWhere(predicate);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    EXPECT_LE(stmt->select->where->height, kMaxExpressionDepth);
+    auto bound = plan::BindStatement(*stmt, catalog);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    auto triaged = rewrite::RewriteForDataTriage(std::move(bound).value());
+    EXPECT_TRUE(triaged.ok()) << triaged.status().ToString();
+  }
+  for (const std::string& predicate :
+       PredicatesOfDepth(kMaxExpressionDepth + 1)) {
+    EXPECT_EQ(ParseWhere(predicate).status().code(),
+              StatusCode::kInvalidArgument)
+        << predicate.substr(0, 40);
+  }
 }
 
 }  // namespace

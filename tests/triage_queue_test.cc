@@ -156,11 +156,11 @@ TEST(SynopsizerTest, RoutesTuplesToWindows) {
   synopsis::SynopsisConfig config;
   config.type = synopsis::SynopsisType::kExact;
   WindowSynopsizer synopsizer("r", Schema({{"a", FieldType::kInt64}}),
-                              config, 1.0);
-  ASSERT_TRUE(synopsizer.AddDropped(Row({1}, 0.2)).ok());
-  ASSERT_TRUE(synopsizer.AddDropped(Row({2}, 0.8)).ok());
-  ASSERT_TRUE(synopsizer.AddKept(Row({3}, 0.5)).ok());
-  ASSERT_TRUE(synopsizer.AddDropped(Row({4}, 1.2)).ok());
+                              config);
+  ASSERT_TRUE(synopsizer.AddDroppedToWindow(Row({1}, 0.2), 0).ok());
+  ASSERT_TRUE(synopsizer.AddDroppedToWindow(Row({2}, 0.8), 0).ok());
+  ASSERT_TRUE(synopsizer.AddKeptToWindow(Row({3}, 0.5), 0).ok());
+  ASSERT_TRUE(synopsizer.AddDroppedToWindow(Row({4}, 1.2), 1).ok());
 
   auto w0 = synopsizer.TakeWindow(0);
   ASSERT_NE(w0.dropped, nullptr);
@@ -184,7 +184,7 @@ TEST(SynopsizerTest, RoutesTuplesToWindows) {
 TEST(SynopsizerTest, EmptyWindowYieldsNulls) {
   synopsis::SynopsisConfig config;
   WindowSynopsizer synopsizer("r", Schema({{"a", FieldType::kInt64}}),
-                              config, 2.0);
+                              config);
   auto w = synopsizer.TakeWindow(5);
   EXPECT_EQ(w.kept, nullptr);
   EXPECT_EQ(w.dropped, nullptr);
