@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "src/metrics/latency.h"
+#include "src/server/stream_server.h"
 
 namespace datatriage::bench {
 namespace {
@@ -74,14 +75,13 @@ void Run() {
     config.queue_capacity = 100;
     config.cost_model.delay_factor = delay_factor;
 
-    auto engine = engine::ContinuousQueryEngine::Make(
-        scenario->catalog, scenario->query_sql, config);
-    DT_CHECK(engine.ok());
-    for (const engine::StreamEvent& e : scenario->events) {
-      DT_CHECK((*engine)->Push(e).ok());
-    }
-    DT_CHECK((*engine)->Finish().ok());
-    std::vector<engine::WindowResult> results = (*engine)->TakeResults();
+    server::StreamServer server(scenario->catalog);
+    auto id = server.RegisterQuery(scenario->query_sql, config);
+    DT_CHECK(id.ok()) << id.status().ToString();
+    DT_CHECK(server.PushBatch(scenario->events).ok());
+    DT_CHECK(server.Finish().ok());
+    std::vector<engine::WindowResult> results =
+        server.session(*id).TakeResults();
     metrics::MeanStd latency =
         metrics::EmissionLatency(results, scenario->window_seconds);
     std::printf("%10.2f %16.4f %16.4f\n", delay_factor, latency.mean,

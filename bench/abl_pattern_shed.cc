@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,7 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/common/string_util.h"
-#include "src/engine/engine.h"
+#include "src/server/stream_server.h"
 #include "src/tuple/tuple.h"
 #include "src/triage/drop_policy.h"
 
@@ -90,20 +89,17 @@ MatchRun RunMatch(const Catalog& catalog,
   } else {
     config.queue_capacity = 8;
   }
-  auto made = engine::ContinuousQueryEngine::Make(catalog, kMatchSql,
-                                                  config);
-  DT_CHECK(made.ok()) << made.status().ToString();
-  std::unique_ptr<engine::ContinuousQueryEngine> engine =
-      std::move(made).value();
-  for (const engine::StreamEvent& event : events) {
-    const Status pushed = engine->Push(event);
-    DT_CHECK(pushed.ok()) << pushed.ToString();
-  }
-  const Status finished = engine->Finish();
+  server::StreamServer server(catalog);
+  auto id = server.RegisterQuery(kMatchSql, config);
+  DT_CHECK(id.ok()) << id.status().ToString();
+  const Status pushed = server.PushBatch(events);
+  DT_CHECK(pushed.ok()) << pushed.ToString();
+  const Status finished = server.Finish();
   DT_CHECK(finished.ok()) << finished.ToString();
+  server::QuerySession& session = server.session(*id);
 
   MatchRun run;
-  for (const engine::WindowResult& result : engine->TakeResults()) {
+  for (const engine::WindowResult& result : session.TakeResults()) {
     std::map<std::string, int>& window = run.rows[result.window];
     for (const Tuple& tuple : result.exact_rows) {
       std::string key;
@@ -115,7 +111,7 @@ MatchRun RunMatch(const Catalog& catalog,
       ++run.total_matches;
     }
   }
-  const engine::EngineStatsSnapshot snapshot = engine->StatsSnapshot();
+  const engine::EngineStatsSnapshot snapshot = session.StatsSnapshot();
   if (snapshot.core.tuples_ingested > 0) {
     run.shed_fraction =
         static_cast<double>(snapshot.core.tuples_dropped) /

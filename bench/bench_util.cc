@@ -10,6 +10,7 @@
 #include "src/metrics/rms.h"
 #include "src/obs/export.h"
 #include "src/plan/binder.h"
+#include "src/server/stream_server.h"
 #include "src/sql/parser.h"
 
 namespace datatriage::bench {
@@ -17,15 +18,15 @@ namespace datatriage::bench {
 RunResult RunScenario(const workload::Scenario& scenario,
                       const engine::EngineConfig& config,
                       bool collect_metrics) {
-  auto engine = engine::ContinuousQueryEngine::Make(scenario.catalog,
-                                                    scenario.query_sql,
-                                                    config);
-  DT_CHECK(engine.ok()) << engine.status().ToString();
-  Status pushed = (*engine)->PushBatch(scenario.events);
+  server::StreamServer server(scenario.catalog);
+  auto id = server.RegisterQuery(scenario.query_sql, config);
+  DT_CHECK(id.ok()) << id.status().ToString();
+  Status pushed = server.PushBatch(scenario.events);
   DT_CHECK(pushed.ok()) << pushed.ToString();
-  Status s = (*engine)->Finish();
+  Status s = server.Finish();
   DT_CHECK(s.ok()) << s.ToString();
-  std::vector<engine::WindowResult> results = (*engine)->TakeResults();
+  server::QuerySession& session = server.session(*id);
+  std::vector<engine::WindowResult> results = session.TakeResults();
 
   auto stmt = sql::ParseStatement(scenario.query_sql);
   DT_CHECK(stmt.ok()) << stmt.status().ToString();
@@ -39,14 +40,13 @@ RunResult RunScenario(const workload::Scenario& scenario,
                                metrics::ResultChannel::kMerged);
   DT_CHECK(rms.ok()) << rms.status().ToString();
 
-  const engine::EngineStatsSnapshot snapshot = (*engine)->StatsSnapshot();
+  const engine::EngineStatsSnapshot snapshot = session.StatsSnapshot();
   RunResult out;
   out.rms = rms.value();
   out.tuples_dropped = snapshot.core.tuples_dropped;
   out.tuples_kept = snapshot.core.tuples_kept;
   if (collect_metrics) {
-    out.metrics_json =
-        obs::MetricsJson((*engine)->metrics(), &(*engine)->trace());
+    out.metrics_json = obs::MetricsJson(session.metrics(), &session.trace());
   }
   return out;
 }

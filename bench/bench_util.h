@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/engine.h"
+#include "src/engine/config.h"
 #include "src/metrics/stats.h"
 #include "src/workload/scenario.h"
 
@@ -18,11 +18,12 @@ struct RunResult {
   std::string metrics_json;  // filled only when requested (see below)
 };
 
-/// Runs one scenario through the engine under `config` and scores the
-/// merged results against the ideal (no-shedding) answer. CHECK-fails on
-/// internal errors: benchmarks have no useful way to continue. When
-/// `collect_metrics` is set, RunResult.metrics_json carries the engine's
-/// obs registry + per-window trace (obs::MetricsJson schema).
+/// Runs one scenario's query alone on a serial StreamServer under
+/// `config` and scores the merged results against the ideal
+/// (no-shedding) answer. CHECK-fails on internal errors: benchmarks have
+/// no useful way to continue. When `collect_metrics` is set,
+/// RunResult.metrics_json carries the session's obs registry +
+/// per-window trace (obs::MetricsJson schema).
 RunResult RunScenario(const workload::Scenario& scenario,
                       const engine::EngineConfig& config,
                       bool collect_metrics = false);

@@ -73,7 +73,6 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/engine.h"
 #include "src/io/csv.h"
 #include "src/obs/export.h"
 #include "src/rewrite/sql_emitter.h"

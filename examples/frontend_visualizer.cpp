@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/engine.h"
+#include "src/server/stream_server.h"
 #include "src/synopsis/grid_histogram.h"
 
 namespace {
@@ -30,7 +30,6 @@ using datatriage::Schema;
 using datatriage::Status;
 using datatriage::Tuple;
 using datatriage::Value;
-using datatriage::engine::ContinuousQueryEngine;
 using datatriage::engine::EngineConfig;
 using datatriage::engine::StreamEvent;
 using datatriage::engine::WindowResult;
@@ -77,26 +76,23 @@ int main() {
       datatriage::synopsis::SynopsisType::kGridHistogram;
   config.synopsis.grid.cell_width = 8.0;
 
-  auto engine = ContinuousQueryEngine::Make(catalog, query, config);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n",
-                 engine.status().ToString().c_str());
+  datatriage::server::StreamServer server(catalog);
+  auto id = server.RegisterQuery(query, config);
+  if (!id.ok()) {
+    std::fprintf(stderr, "register: %s\n", id.status().ToString().c_str());
     return 1;
   }
-  for (const StreamEvent& e : BuildCloud(5)) {
-    Status s = (*engine)->Push(e);
-    if (!s.ok()) {
-      std::fprintf(stderr, "push: %s\n", s.ToString().c_str());
-      return 1;
-    }
+  if (Status s = server.PushBatch(BuildCloud(5)); !s.ok()) {
+    std::fprintf(stderr, "push: %s\n", s.ToString().c_str());
+    return 1;
   }
-  if (Status s = (*engine)->Finish(); !s.ok()) {
+  if (Status s = server.Finish(); !s.ok()) {
     std::fprintf(stderr, "finish: %s\n", s.ToString().c_str());
     return 1;
   }
 
   std::printf("kind,window,x0,y0,x1,y1,weight\n");
-  for (const WindowResult& result : (*engine)->TakeResults()) {
+  for (const WindowResult& result : server.session(*id).TakeResults()) {
     for (const Tuple& row : result.exact_rows) {
       std::printf("point,%lld,%lld,%lld,,,\n",
                   static_cast<long long>(result.window),

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/engine.h"
+#include "src/server/stream_server.h"
 
 namespace {
 
@@ -24,7 +24,6 @@ using datatriage::Schema;
 using datatriage::Status;
 using datatriage::Tuple;
 using datatriage::Value;
-using datatriage::engine::ContinuousQueryEngine;
 using datatriage::engine::EngineConfig;
 using datatriage::engine::StreamEvent;
 using datatriage::engine::WindowResult;
@@ -93,20 +92,17 @@ int main() {
   config.queue_capacity = 150;
   config.synopsis.grid.cell_width = 1.0;
 
-  auto engine = ContinuousQueryEngine::Make(catalog, query, config);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n",
-                 engine.status().ToString().c_str());
+  datatriage::server::StreamServer server(catalog);
+  auto id = server.RegisterQuery(query, config);
+  if (!id.ok()) {
+    std::fprintf(stderr, "register: %s\n", id.status().ToString().c_str());
     return 1;
   }
-  for (const StreamEvent& e : BuildFeed(99)) {
-    Status s = (*engine)->Push(e);
-    if (!s.ok()) {
-      std::fprintf(stderr, "push: %s\n", s.ToString().c_str());
-      return 1;
-    }
+  if (Status s = server.PushBatch(BuildFeed(99)); !s.ok()) {
+    std::fprintf(stderr, "push: %s\n", s.ToString().c_str());
+    return 1;
   }
-  if (Status s = (*engine)->Finish(); !s.ok()) {
+  if (Status s = server.Finish(); !s.ok()) {
     std::fprintf(stderr, "finish: %s\n", s.ToString().c_str());
     return 1;
   }
@@ -117,7 +113,7 @@ int main() {
               kNewsEnd);
   std::printf("%6s %8s | %12s %12s | %12s %12s\n", "window", "shed",
               "exact_trades", "exact_vol", "est_trades", "est_vol");
-  for (const WindowResult& result : (*engine)->TakeResults()) {
+  for (const WindowResult& result : server.session(*id).TakeResults()) {
     double exact_trades = 0, exact_volume = 0;
     for (const Tuple& row : result.exact_rows) {
       if (row.value(0).int64() == kHotSymbol) {

@@ -20,9 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/engine.h"
 #include "src/metrics/ideal.h"
 #include "src/plan/binder.h"
+#include "src/server/stream_server.h"
 #include "src/sql/parser.h"
 
 namespace {
@@ -34,7 +34,6 @@ using datatriage::Schema;
 using datatriage::Status;
 using datatriage::Tuple;
 using datatriage::Value;
-using datatriage::engine::ContinuousQueryEngine;
 using datatriage::engine::EngineConfig;
 using datatriage::engine::StreamEvent;
 
@@ -116,24 +115,22 @@ int main() {
     config.strategy = strategy;
     config.queue_capacity = 100;
     config.synopsis.grid.cell_width = 1.0;
-    auto engine = ContinuousQueryEngine::Make(catalog, query, config);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "engine: %s\n",
-                   engine.status().ToString().c_str());
+    datatriage::server::StreamServer server(catalog);
+    auto id = server.RegisterQuery(query, config);
+    if (!id.ok()) {
+      std::fprintf(stderr, "register: %s\n",
+                   id.status().ToString().c_str());
       std::exit(1);
     }
-    for (const StreamEvent& e : events) {
-      Status s = (*engine)->Push(e);
-      if (!s.ok()) {
-        std::fprintf(stderr, "push: %s\n", s.ToString().c_str());
-        std::exit(1);
-      }
+    if (Status s = server.PushBatch(events); !s.ok()) {
+      std::fprintf(stderr, "push: %s\n", s.ToString().c_str());
+      std::exit(1);
     }
-    if (Status s = (*engine)->Finish(); !s.ok()) {
+    if (Status s = server.Finish(); !s.ok()) {
       std::fprintf(stderr, "finish: %s\n", s.ToString().c_str());
       std::exit(1);
     }
-    return (*engine)->TakeResults();
+    return server.session(*id).TakeResults();
   };
 
   auto drop_results =

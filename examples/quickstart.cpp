@@ -7,19 +7,22 @@
 //     what shedding removed) is delivered at emission time, while the
 //     run is still in flight. (Call TakeResults() after Finish() instead
 //     if you prefer buffered delivery.)
-//  4. Feed timestamped tuples through the engine; the triage queues shed
+//  4. Feed timestamped tuples through the server; the triage queues shed
 //     load when arrivals outrun the (virtual-time) processing capacity.
 //  5. Read the run accounting — StatsSnapshot() embeds the obs metrics
 //     registry: per-stream queue high-watermarks and drop causes.
+//
+// One query is a StreamServer hosting one session: register it, push,
+// Finish, and read server.session(id). More queries are more
+// RegisterQuery calls on the same server.
 //
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
 
-#include "src/engine/engine.h"
+#include "src/server/stream_server.h"
 #include "src/workload/scenario.h"
 
-using datatriage::engine::ContinuousQueryEngine;
 using datatriage::engine::EngineConfig;
 using datatriage::engine::WindowResult;
 
@@ -54,18 +57,18 @@ int main() {
     return 1;
   }
 
-  auto engine = ContinuousQueryEngine::Make(scenario->catalog,
-                                            scenario->query_sql, config);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n",
-                 engine.status().ToString().c_str());
+  datatriage::server::StreamServer server(scenario->catalog);
+  auto id = server.RegisterQuery(scenario->query_sql, config);
+  if (!id.ok()) {
+    std::fprintf(stderr, "register: %s\n", id.status().ToString().c_str());
     return 1;
   }
+  datatriage::server::QuerySession& session = server.session(*id);
 
   // --- 3. Streaming results: print each window as it emits.
   std::printf("%6s %6s %8s %22s %22s\n", "window", "kept", "dropped",
               "exact groups (count)", "merged groups (count)");
-  (*engine)->SetWindowSink([](WindowResult&& result) {
+  session.SetWindowSink([](WindowResult&& result) {
     double exact_total = 0, merged_total = 0;
     for (const datatriage::Tuple& row : result.exact_rows) {
       exact_total += row.value(1).AsDouble();
@@ -83,20 +86,20 @@ int main() {
 
   // --- 4. Feed the timeline.
   for (const datatriage::engine::StreamEvent& event : scenario->events) {
-    datatriage::Status s = (*engine)->Push(event);
+    datatriage::Status s = server.Push(event);
     if (!s.ok()) {
       std::fprintf(stderr, "push: %s\n", s.ToString().c_str());
       return 1;
     }
   }
-  if (datatriage::Status s = (*engine)->Finish(); !s.ok()) {
+  if (datatriage::Status s = server.Finish(); !s.ok()) {
     std::fprintf(stderr, "finish: %s\n", s.ToString().c_str());
     return 1;
   }
 
   // --- 5. Run accounting, including the obs registry totals.
   const datatriage::engine::EngineStatsSnapshot stats =
-      (*engine)->StatsSnapshot();
+      session.StatsSnapshot();
   std::printf(
       "\ningested %lld tuples: kept %lld, shed %lld "
       "(synopsized and reflected in the merged column)\n",

@@ -55,11 +55,11 @@ struct EngineStats {
   VirtualTime final_engine_time = 0.0;
 };
 
-/// Point-in-time copy of the engine's accounting, safe to hold after the
-/// engine is gone. `core` carries the legacy EngineStats fields; the maps
-/// embed the obs registry totals (metric name -> value), e.g.
+/// Point-in-time copy of one session's accounting, safe to hold after
+/// the server is gone. `core` carries the EngineStats fields; the maps
+/// embed the session registry's totals (metric name -> value), e.g.
 /// "stream.r.queue_depth" in `gauge_maxima` is stream r's queue-depth
-/// high-watermark. Returned by ContinuousQueryEngine::StatsSnapshot().
+/// high-watermark. Returned by server::QuerySession::StatsSnapshot().
 struct EngineStatsSnapshot {
   EngineStats core;
   /// Every registry counter's total (DESIGN.md Sec. 9.2 names them).

@@ -7,8 +7,8 @@
 
 #include "src/catalog/catalog.h"
 #include "src/common/result.h"
+#include "src/engine/config.h"
 #include "src/engine/window_result.h"
-#include "src/engine/engine.h"
 
 namespace datatriage::io {
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/engine/engine.h"
+#include "src/engine/config.h"
 #include "src/exec/relation.h"
 #include "src/plan/binder.h"
 

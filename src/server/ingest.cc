@@ -10,6 +10,31 @@ namespace datatriage::server {
 
 using triage::SheddingStrategy;
 
+namespace {
+
+/// The arrival rule, for single pushes and batches alike: a timestamp
+/// must be finite and no earlier than the previous accepted arrival (when
+/// there was one). A NaN would slide past the ordering check (every
+/// comparison is false) and an infinity would register a window at id
+/// ~2^63, hanging Finish — silent misbehavior either way once the cast
+/// to WindowId happens, so both are rejected before any state changes.
+Status CheckArrivalTime(VirtualTime arrival, std::string_view stream,
+                        bool saw_previous, VirtualTime previous) {
+  if (!std::isfinite(arrival)) {
+    return Status::InvalidArgument(StringPrintf(
+        "event timestamp on stream '%.*s' must be finite (got %g)",
+        static_cast<int>(stream.size()), stream.data(), arrival));
+  }
+  if (saw_previous && arrival < previous) {
+    return Status::InvalidArgument(StringPrintf(
+        "events must arrive in timestamp order (%g after %g)", arrival,
+        previous));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 IngestPlane::IngestPlane(Catalog catalog) : catalog_(std::move(catalog)) {
   events_pushed_ = metrics_.GetCounter("server.events_pushed");
   events_unrouted_ = metrics_.GetCounter("server.events_unrouted");
@@ -26,12 +51,6 @@ Result<StreamId> IngestPlane::Intern(std::string_view name) {
   ids_.emplace(streams_.back().name, id);
   streams_interned_->Add(1);
   return id;
-}
-
-Result<StreamId> IngestPlane::Find(std::string_view name) const {
-  if (auto it = ids_.find(name); it != ids_.end()) return it->second;
-  return Status::NotFound("stream '" + std::string(name) +
-                          "' is not read by any registered query");
 }
 
 Status IngestPlane::CheckId(StreamId id) const {
@@ -149,21 +168,8 @@ Status IngestPlane::Deliver(StreamEntry& entry, const Tuple& tuple) {
 Status IngestPlane::Push(StreamId stream, const Tuple& tuple) {
   DT_RETURN_IF_ERROR(CheckId(stream));
   StreamEntry& entry = streams_[stream];
-  const VirtualTime arrival = tuple.timestamp();
-  // Reject non-finite timestamps before any state changes: a NaN would
-  // slide past the ordering check below (every comparison is false) and
-  // an infinity would register a window at id ~2^63, hanging Finish —
-  // silent misbehavior either way once the cast to WindowId happens.
-  if (!std::isfinite(arrival)) {
-    return Status::InvalidArgument(StringPrintf(
-        "event timestamp on stream '%s' must be finite (got %g)",
-        entry.name.c_str(), arrival));
-  }
-  if (saw_arrival_ && arrival < last_arrival_time_) {
-    return Status::InvalidArgument(StringPrintf(
-        "events must arrive in timestamp order (%g after %g)", arrival,
-        last_arrival_time_));
-  }
+  DT_RETURN_IF_ERROR(CheckArrivalTime(tuple.timestamp(), entry.name,
+                                      saw_arrival_, last_arrival_time_));
   return Deliver(entry, tuple);
 }
 
@@ -175,17 +181,12 @@ Status IngestPlane::PushBatch(std::span<const engine::StreamEvent> events) {
   bool saw_previous = saw_arrival_;
   for (size_t i = 0; i < events.size(); ++i) {
     const VirtualTime arrival = events[i].tuple.timestamp();
-    if (!std::isfinite(arrival)) {
+    const Status valid =
+        CheckArrivalTime(arrival, events[i].stream, saw_previous, previous);
+    if (!valid.ok()) {
       return Status::InvalidArgument(StringPrintf(
-          "batch event %zu on stream '%s': timestamp must be finite "
-          "(got %g); no event of the batch was ingested",
-          i, events[i].stream.c_str(), arrival));
-    }
-    if (saw_previous && arrival < previous) {
-      return Status::InvalidArgument(StringPrintf(
-          "batch event %zu: events must arrive in timestamp order "
-          "(%g after %g); no event of the batch was ingested",
-          i, arrival, previous));
+          "batch event %zu: %s; no event of the batch was ingested", i,
+          valid.message().c_str()));
     }
     saw_previous = true;
     previous = arrival;
@@ -203,14 +204,6 @@ Status IngestPlane::PushBatch(std::span<const engine::StreamEvent> events) {
     DT_RETURN_IF_ERROR(Deliver(*entry, event.tuple));
   }
   return Status::OK();
-}
-
-Status IngestPlane::Push(const engine::StreamEvent& event) {
-  // Intern rather than Find: an arrival on a catalog stream that no
-  // session reads is still a valid (unrouted) arrival; only streams the
-  // catalog does not define are rejected.
-  DT_ASSIGN_OR_RETURN(StreamId id, Intern(event.stream));
-  return Push(id, event.tuple);
 }
 
 }  // namespace datatriage::server

@@ -120,9 +120,6 @@ class IngestPlane {
   /// Fails with NotFound when the catalog does not define the stream.
   Result<StreamId> Intern(std::string_view name);
 
-  /// Id of an already interned stream, or an error if never interned.
-  Result<StreamId> Find(std::string_view name) const;
-
   /// Name of an interned stream; NotFound (naming the valid id range)
   /// for an id Intern never returned.
   Result<std::string_view> NameOf(StreamId id) const;
@@ -155,26 +152,23 @@ class IngestPlane {
   /// True once any arrival was accepted (the arrival clock is live).
   bool saw_arrival() const { return saw_arrival_; }
 
-  /// Validates one arrival (interned stream id, finite timestamp, global
-  /// timestamp order, tuple arity against the stream schema) and
-  /// delivers it to every subscribed lane. An arrival on a stream no
-  /// session reads is counted as unrouted and otherwise ignored.
-  /// Validation failures leave every session untouched.
+  /// Validates one arrival (interned stream id, the arrival rule — finite
+  /// timestamp, global timestamp order — and tuple arity against the
+  /// stream schema) and delivers it to every subscribed lane. An arrival
+  /// on a stream no session reads is counted as unrouted and otherwise
+  /// ignored. Validation failures leave every session untouched.
   Status Push(StreamId stream, const Tuple& tuple);
 
-  /// Name-resolving variant (one interner lookup, then Push by id).
-  Status Push(const engine::StreamEvent& event);
-
-  /// Batched push with the validation hoisted out of the per-event path:
-  /// one pass checks every timestamp (finite, non-decreasing within the
-  /// batch and against the arrival clock) before any state changes — an
-  /// invalid timestamp anywhere rejects the whole batch with no event
-  /// ingested — then the delivery pass routes each event, memoizing the
-  /// previous event's stream so runs of same-stream arrivals skip the
-  /// interner entirely. For valid input the observable effects (lane
+  /// Batched push, and the only name-resolving one (a single named
+  /// arrival is a batch of one). One pass checks every timestamp against
+  /// the arrival rule, within the batch and against the arrival clock,
+  /// before any state changes: an invalid timestamp anywhere rejects the
+  /// whole batch with no event ingested. The delivery pass then interns
+  /// each stream name and routes the event, memoizing the previous
+  /// event's stream. For valid input the observable effects (lane
   /// deliveries, counters, arrival clock) are exactly those of pushing
-  /// the events one by one. A mid-batch arity error keeps loop
-  /// semantics: events before the offender stay ingested.
+  /// the events one by one. A mid-batch arity or stream-name error keeps
+  /// loop semantics: events before the offender stay ingested.
   Status PushBatch(std::span<const engine::StreamEvent> events);
 
   /// Routing override for parallel execution: when set, every validated

@@ -102,7 +102,7 @@ Status QuerySession::Init(IngestPlane* plane) {
   }
 
   // Lanes are created (and drop-policy Rngs forked) in FROM-clause order,
-  // matching the single-query engine's seeding exactly.
+  // so a session's seeding depends on its own query and config only.
   Rng seeder(config_.seed);
   for (const std::string& stream : query.from_streams) {
     if (lanes_by_name_.count(stream) > 0) continue;  // self-join: one lane

@@ -53,8 +53,8 @@ std::string_view SessionLifecycleToString(SessionLifecycle lifecycle);
 /// Determinism contract: a session's results, stats, metrics, and trace
 /// are a function of (its query, its config, the event subsequence on its
 /// streams) only — co-hosted sessions cannot perturb each other. That is
-/// what makes a Q-session server byte-equivalent to Q standalone engines
-/// (tests/stream_server_test.cc).
+/// what makes Q co-hosted sessions byte-equivalent to Q solo servers, one
+/// query each (tests/stream_server_test.cc).
 class QuerySession {
  public:
   using WindowSink = std::function<void(engine::WindowResult&&)>;
@@ -99,18 +99,12 @@ class QuerySession {
 
   /// Per-window emission trace, in emission order.
   const obs::WindowTraceRecorder& trace() const { return trace_; }
-  const rewrite::TriagedQuery& triaged_query() const { return triaged_; }
   /// Window range (span length).
   VirtualDuration window_seconds() const { return window_seconds_; }
   /// Hop between consecutive windows; equals window_seconds() for
   /// tumbling windows.
   VirtualDuration window_slide_seconds() const { return window_slide_; }
   SessionId id() const { return id_; }
-
-  /// True when `name` is one of the query's FROM streams.
-  bool ReadsStream(std::string_view name) const {
-    return lanes_by_name_.find(name) != lanes_by_name_.end();
-  }
 
   SessionLifecycle lifecycle() const { return lifecycle_; }
   /// Marks the session detached. Called by the server after Finish, once

@@ -82,7 +82,7 @@ Result<SessionId> StreamServer::RegisterQuery(plan::BoundQuery query,
     // Mid-stream registration (DESIGN.md §14): admit from the next window
     // boundary of this session's own slide after the arrival clock, so
     // the session only ever observes whole windows — its output matches a
-    // standalone engine fed the feed suffix from that boundary on.
+    // solo server fed the feed suffix from that boundary on.
     const VirtualDuration slide = session->window_slide_seconds();
     const VirtualTime effective_from =
         (std::floor(plane_.now() / slide) + 1.0) * slide;
@@ -316,10 +316,7 @@ Status StreamServer::EnsureStreaming() {
 }
 
 Status StreamServer::Push(const engine::StreamEvent& event) {
-  DT_RETURN_IF_ERROR(EnsureStreaming());
-  if (scheduler_ == nullptr) return plane_.Push(event);
-  const auto batch = std::make_shared<const EventBatch>(1, event);
-  return FlushStaged(batch, plane_.Push(batch->front()));
+  return PushBatch(std::span<const engine::StreamEvent>(&event, 1));
 }
 
 Status StreamServer::Push(StreamId stream, const Tuple& tuple) {
@@ -397,12 +394,7 @@ void StreamServer::FlushWorkerMetrics() {
 }
 
 QuerySession& StreamServer::session(SessionId id) {
-  DT_CHECK(id < sessions_.size())
-      << "StreamServer::session: id " << id << " out of range [0, "
-      << sessions_.size()
-      << ") — stale or foreign SessionId? FindSession() returns an "
-         "error instead of crashing";
-  return *sessions_[id];
+  return const_cast<QuerySession&>(std::as_const(*this).session(id));
 }
 
 const QuerySession& StreamServer::session(SessionId id) const {
@@ -415,13 +407,9 @@ const QuerySession& StreamServer::session(SessionId id) const {
 }
 
 Result<QuerySession*> StreamServer::FindSession(SessionId id) {
-  if (id >= sessions_.size()) {
-    return Status::NotFound(StringPrintf(
-        "no session with id %u: this server hosts %zu session(s), ids "
-        "are dense in [0, %zu)",
-        id, sessions_.size(), sessions_.size()));
-  }
-  return sessions_[id].get();
+  DT_ASSIGN_OR_RETURN(const QuerySession* session,
+                      std::as_const(*this).FindSession(id));
+  return const_cast<QuerySession*>(session);
 }
 
 Result<const QuerySession*> StreamServer::FindSession(SessionId id) const {

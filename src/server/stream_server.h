@@ -48,20 +48,21 @@ std::string_view ServerStateName(ServerState state);
 ///   server.Finish();
 ///   for (WindowResult& r : server.session(*b).TakeResults()) ...
 ///
-/// Each session's output is byte-identical to a standalone
-/// ContinuousQueryEngine run of the same (query, config) over the same
-/// events — co-hosting shares the ingest boundary (name resolution,
-/// validation, routing), never the per-query triage state — and that
-/// holds for every SchedulerOptions setting (worker count,
+/// The server is the one way to run a query; a single query is simply a
+/// server hosting one session. Each session's output is byte-identical
+/// to a solo server (one session) running the same (query, config) over
+/// the same events — co-hosting shares the ingest boundary (name
+/// resolution, validation, routing), never the per-query triage state —
+/// and that holds for every SchedulerOptions setting (worker count,
 /// intra-session threads): each session's tasks live in one FIFO ring
 /// consumed in feed order by its one home worker, and morsel-parallel
 /// operators merge their partials deterministically
-/// (DESIGN.md Sec. 11, Sec. 16).
+/// (DESIGN.md Sec. 10, Sec. 11, Sec. 16).
 ///
 /// Mid-stream lifecycle (DESIGN.md §14): a query registered at arrival
 /// time t observes exactly the windows whose span starts on or after the
-/// next window boundary after t — byte-identical to a standalone engine
-/// fed that suffix of the feed. UnregisterQuery drains the session
+/// next window boundary after t — byte-identical to a solo server fed
+/// that suffix of the feed. UnregisterQuery drains the session
 /// (emitting its in-flight windows) before detaching its lanes; the
 /// detached session keeps serving results, stats, and metrics.
 /// SnapshotSession/RestoreSession round-trip a session through a sealed,
@@ -82,7 +83,13 @@ class StreamServer {
   /// admission horizon at the next window boundary of its own slide after
   /// the arrival clock, so it observes exactly the whole-window suffix of
   /// the feed (DESIGN.md §14) and its results stay byte-identical to a
-  /// standalone engine fed that suffix.
+  /// solo server fed that suffix.
+  ///
+  /// Restrictions (DESIGN.md §10): every stream of a query must share one
+  /// window length (the paper's experiments do), and SELECT DISTINCT is
+  /// rejected, as is EXCEPT under a synopsizing strategy — the paper's
+  /// shadow machinery does not cover them (Unimplemented). EXCEPT runs
+  /// under drop-only shedding, which builds no shadow plan.
   Result<SessionId> RegisterQuery(const std::string& query_sql,
                                   engine::EngineConfig config);
   Result<SessionId> RegisterQuery(plan::BoundQuery query,
@@ -127,14 +134,16 @@ class StreamServer {
   /// this and carry no fault state.
   Status SetSimFaults(const SimFaults* faults);
 
-  /// Delivers one arrival to every session reading its stream. Events
-  /// must have finite, non-decreasing timestamps; violations return
-  /// InvalidArgument and leave every session untouched. The first push
-  /// moves the server to kStreaming (starting the task scheduler and
-  /// morsel pool when configured); pushing on a finished server, or with
-  /// zero live sessions, is FailedPrecondition. The id overload returns
-  /// NotFound for an id InternStream never returned. With workers on,
-  /// each push is one batch of one event (see PushBatch).
+  /// Delivers one arrival to every session reading its stream: a batch
+  /// of one (PushBatch). Events must have finite, non-decreasing
+  /// timestamps; violations return InvalidArgument and leave every
+  /// session untouched. An arrival on a catalog stream that no session
+  /// reads is accepted and counted in server.events_unrouted; a stream
+  /// the catalog does not define is NotFound. The first push moves the
+  /// server to kStreaming (starting the task scheduler and morsel pool
+  /// when configured); pushing on a finished server, or with zero live
+  /// sessions, is FailedPrecondition. The id overload returns NotFound
+  /// for an id InternStream never returned.
   Status Push(const engine::StreamEvent& event);
   Status Push(StreamId stream, const Tuple& tuple);
 
@@ -230,8 +239,8 @@ class StreamServer {
 
   /// Bumps the plane-registry counter session.<id>.lifecycle.<event>.
   /// Lifecycle counters live in the plane registry — not the session's —
-  /// so a session's own metrics stay byte-identical to a standalone
-  /// engine run.
+  /// so a session's own metrics stay byte-identical to a solo-server
+  /// run.
   void CountLifecycleEvent(SessionId id, std::string_view event);
 
   /// Folds the scheduler's post-barrier accounting into the plane

@@ -24,8 +24,8 @@ struct QueryRunOutput {
   /// Admission horizon stamped at registration (DESIGN.md Sec. 14):
   /// -inf for sessions registered up front, the next window boundary
   /// after the arrival clock for sessions registered mid-stream. The
-  /// suffix-equivalence oracle feeds a standalone engine only events at
-  /// or after this time.
+  /// suffix-equivalence oracle feeds a solo server only events at or
+  /// after this time.
   VirtualTime admit_from = -std::numeric_limits<double>::infinity();
 };
 
@@ -52,16 +52,6 @@ Result<ServerRunOutput> RunOnServer(const SimScenario& scenario,
                                     size_t worker_threads,
                                     bool install_faults);
 
-/// Runs query `query_index` alone on a standalone ContinuousQueryEngine
-/// over the same pushed prefix (per-event, tolerating NotFound for
-/// events on streams the query does not read), cut to the query's churn
-/// envelope: events before `admit_from` are skipped and the feed stops
-/// at the query's unregister_at_event (unregistration drains exactly
-/// like Finish, so the prefix run is the reference).
-Result<QueryRunOutput> RunOnEngine(
-    const SimScenario& scenario, size_t query_index,
-    VirtualTime admit_from = -std::numeric_limits<double>::infinity());
-
 /// Oracle: two server runs are byte-identical per session (results CSV,
 /// snapshot, metrics JSON). Used serial-vs-replay and serial-vs-parallel.
 /// `compare_snapshots` additionally demands byte-identical session-0
@@ -81,11 +71,16 @@ Status CheckSnapshotRestore(const SimScenario& scenario,
                             const ServerRunOutput& base,
                             bool install_faults);
 
-/// Oracle: every hosted session matches its standalone engine run byte
-/// for byte. Only valid when no faults were installed on the server (a
-/// standalone engine cannot receive them).
-Status CheckEngineEquivalence(const SimScenario& scenario,
-                              const ServerRunOutput& server_run);
+/// Oracle: Q co-hosted sessions = Q solo servers. Every hosted session
+/// matches a one-session serial server running its query over its own
+/// streams, cut to its churn envelope (admission horizon to
+/// unregistration, which drains exactly like Finish), byte for byte.
+/// `install_faults` must be what the server run used: faults are
+/// functions of virtual time and per-session state, so a solo server
+/// replays them exactly.
+Status CheckSoloEquivalence(const SimScenario& scenario,
+                            const ServerRunOutput& server_run,
+                            bool install_faults);
 
 /// Oracle: conservation invariants of one session — ingested = kept +
 /// dropped, the drop-cause counters partition the dropped count, core
@@ -102,7 +97,7 @@ Status CheckMemoryAccounting(const QueryRunOutput& run, bool budgeted);
 
 /// Oracle: accuracy against the offline ideal evaluation, for queries
 /// with AccuracyEligible(). Checks (a) the scenario run's merged-channel
-/// RMS error vs the ideal is finite, and (b) an ideal engine run of the
+/// RMS error vs the ideal is finite, and (b) an ideal solo run of the
 /// same query (zero-cost model, queue larger than the feed) sheds
 /// nothing and has exactly zero RMS error.
 Status CheckAccuracy(const SimScenario& scenario, size_t query_index,
@@ -113,8 +108,8 @@ Status CheckAccuracy(const SimScenario& scenario, size_t query_index,
 ///     appears (with at least that multiplicity, per window) in an ideal
 ///     zero-shed run of the same query: shedding may lose matches but
 ///     can never invent one.
-/// (b) When the scenario run shed nothing, its match rows equal the
-///     ideal run's exactly.
+/// (b) When the scenario run shed nothing — zero tuples_dropped and zero
+///     per-window drops — its match rows equal the ideal run's exactly.
 /// (c) Utility-vs-random parity at zero shed: ideal runs under the
 ///     utility and random drop policies emit identical match rows (the
 ///     policies may only differ in *which* tuples they shed, never in

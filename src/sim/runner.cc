@@ -102,15 +102,13 @@ Status RunOracles(uint64_t seed, const SimScenario& scenario,
         seed, "exec-mode-equivalence"));
   }
 
-  // Standalone-engine equivalence needs a fault-free server: a
-  // ContinuousQueryEngine has no fault hooks to mirror them (and the
-  // fault-shed counter alone would already skew the metrics export).
-  // Churned sessions compare against a standalone engine fed their
-  // churn envelope of the feed (admission horizon to unregistration).
-  if (!install_faults) {
-    DT_RETURN_IF_ERROR(Annotate(CheckEngineEquivalence(scenario, base),
-                                seed, "engine-equivalence"));
-  }
+  // Solo equivalence: each hosted session against a one-session server
+  // running its query alone, faults and all. Churned sessions compare
+  // against a solo server fed their churn envelope of the feed
+  // (admission horizon to unregistration).
+  DT_RETURN_IF_ERROR(
+      Annotate(CheckSoloEquivalence(scenario, base, install_faults), seed,
+               "solo-equivalence"));
 
   for (size_t q = 0; q < base.sessions.size(); ++q) {
     DT_RETURN_IF_ERROR(Annotate(CheckConservation(base.sessions[q]),

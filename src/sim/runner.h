@@ -60,8 +60,8 @@ std::string ReplayCommand(uint64_t seed, const SimOptions& options);
 
 /// Generates the scenario for `seed` and runs every oracle against it:
 /// serial determinism (two serial runs byte-identical), parallel
-/// equivalence for each worker count, standalone-engine equivalence
-/// (fault-free scenarios), conservation, and the accuracy oracles.
+/// equivalence for each worker count, solo-server equivalence,
+/// conservation, and the accuracy oracles.
 /// Returns the first oracle failure, annotated with the seed.
 Status RunScenarioOnce(uint64_t seed, const SimOptions& options,
                        std::ostream* out);

@@ -15,7 +15,7 @@ namespace datatriage::sim {
 /// One generated query: random-but-valid SQL from the supported subset
 /// (windowed equijoins, filters, grouped aggregates, HAVING / ORDER BY /
 /// LIMIT) plus a random EngineConfig, ready to register on a
-/// StreamServer or run on a standalone ContinuousQueryEngine.
+/// StreamServer, co-hosted or alone.
 struct SimQuery {
   std::string sql;
   engine::EngineConfig config;
@@ -89,22 +89,6 @@ struct SimScenario {
   /// and demands byte-identical outputs; the bytes themselves must also
   /// be identical across worker counts.
   size_t snapshot_at_event = SIZE_MAX;
-
-  /// True when any query joins late or leaves early.
-  bool HasChurn() const {
-    for (const SimQuery& query : queries) {
-      if (query.register_at_event > 0) return true;
-      if (query.unregister_at_event != SIZE_MAX) return true;
-    }
-    return false;
-  }
-
-  /// True when the installed faults change session *semantics* (shed or
-  /// stall) as opposed to only scheduling (sharding, ring size, yields).
-  bool HasSemanticFaults() const {
-    return use_faults &&
-           (faults.force_overflow || faults.stall_seconds > 0.0);
-  }
 };
 
 /// Derives a full scenario from `seed`. Pure function of the seed.

@@ -5,6 +5,7 @@
 
 #include "src/common/mem_accounting.h"
 #include "src/common/serde.h"
+#include "src/common/string_util.h"
 
 namespace datatriage::synopsis {
 
@@ -33,9 +34,7 @@ void CollectColumns(const plan::BoundExpr& expr, std::vector<size_t>* out) {
 Result<SynopsisPtr> AviHistogram::Make(Schema schema,
                                        const AviHistogramConfig& config) {
   DT_RETURN_IF_ERROR(CheckNumericSchema(schema));
-  if (config.cell_width <= 0) {
-    return Status::InvalidArgument("AVI histogram cell_width must be > 0");
-  }
+  DT_RETURN_IF_ERROR(CheckCellWidth("AVI histogram", config.cell_width));
   return SynopsisPtr(new AviHistogram(std::move(schema), config));
 }
 
@@ -383,18 +382,29 @@ void AviHistogram::SaveState(serde::Writer* writer) const {
 }
 
 Status AviHistogram::LoadState(serde::Reader* reader) {
-  DT_ASSIGN_OR_RETURN(config_.cell_width, reader->ReadDouble());
-  DT_ASSIGN_OR_RETURN(const uint64_t dims, reader->ReadCount(8));
-  marginals_.assign(dims, {});
-  for (uint64_t d = 0; d < dims; ++d) {
+  DT_ASSIGN_OR_RETURN(const double cell_width, reader->ReadDouble());
+  if (Status s = CheckCellWidth("AVI histogram", cell_width); !s.ok()) {
+    return Status::InvalidArgument("snapshot: " + s.message());
+  }
+  DT_ASSIGN_OR_RETURN(const uint64_t dims, reader->ReadU64());
+  if (dims != schema_.num_fields()) {
+    return Status::InvalidArgument(StringPrintf(
+        "snapshot: AVI histogram has %llu marginal(s), schema has %zu",
+        static_cast<unsigned long long>(dims), schema_.num_fields()));
+  }
+  std::vector<std::map<int64_t, double>> marginals(dims);
+  for (std::map<int64_t, double>& marginal : marginals) {
     DT_ASSIGN_OR_RETURN(const uint64_t cells, reader->ReadCount(16));
     for (uint64_t i = 0; i < cells; ++i) {
       DT_ASSIGN_OR_RETURN(const int64_t coord, reader->ReadI64());
       DT_ASSIGN_OR_RETURN(const double mass, reader->ReadDouble());
-      marginals_[d].emplace(coord, mass);
+      marginal.emplace(coord, mass);
     }
   }
-  DT_ASSIGN_OR_RETURN(total_count_, reader->ReadDouble());
+  DT_ASSIGN_OR_RETURN(const double total_count, reader->ReadDouble());
+  config_.cell_width = cell_width;
+  marginals_ = std::move(marginals);
+  total_count_ = total_count;
   return Status::OK();
 }
 

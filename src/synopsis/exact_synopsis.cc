@@ -340,16 +340,15 @@ void ExactSynopsis::SaveState(serde::Writer* writer) const {
 }
 
 Status ExactSynopsis::LoadState(serde::Reader* reader) {
-  DT_ASSIGN_OR_RETURN(vectorized_, reader->ReadBool());
+  DT_ASSIGN_OR_RETURN(const bool vectorized, reader->ReadBool());
   DT_ASSIGN_OR_RETURN(const uint64_t num_rows, reader->ReadCount(16));
-  rows_.clear();
-  rows_.reserve(num_rows);
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    WeightedRow r;
-    DT_ASSIGN_OR_RETURN(r.tuple, LoadTuple(reader));
+  std::vector<WeightedRow> rows(num_rows);
+  for (WeightedRow& r : rows) {
+    DT_ASSIGN_OR_RETURN(r.tuple, LoadRow(reader));
     DT_ASSIGN_OR_RETURN(r.weight, reader->ReadDouble());
-    rows_.push_back(std::move(r));
   }
+  vectorized_ = vectorized;
+  rows_ = std::move(rows);
   RecomputeMemoryBytes();
   return Status::OK();
 }

@@ -61,23 +61,12 @@ size_t LowerBoundRow(const int64_t* rows, size_t n, size_t width,
   return lo;
 }
 
-/// CellCoord divides by the width and casts the quotient to int64, so
-/// anything but a finite positive width is undefined behaviour there.
-Status CheckCellWidth(double cell_width) {
-  if (!std::isfinite(cell_width) || cell_width <= 0) {
-    return Status::InvalidArgument(StringPrintf(
-        "grid histogram cell_width must be finite and > 0, got %g",
-        cell_width));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<SynopsisPtr> GridHistogram::Make(Schema schema,
                                         const GridHistogramConfig& config) {
   DT_RETURN_IF_ERROR(CheckNumericSchema(schema));
-  DT_RETURN_IF_ERROR(CheckCellWidth(config.cell_width));
+  DT_RETURN_IF_ERROR(CheckCellWidth("grid histogram", config.cell_width));
   return SynopsisPtr(new GridHistogram(std::move(schema), config));
 }
 
@@ -357,7 +346,7 @@ void GridHistogram::SaveState(serde::Writer* writer) const {
 
 Status GridHistogram::LoadState(serde::Reader* reader) {
   DT_ASSIGN_OR_RETURN(const double cell_width, reader->ReadDouble());
-  if (Status s = CheckCellWidth(cell_width); !s.ok()) {
+  if (Status s = CheckCellWidth("grid histogram", cell_width); !s.ok()) {
     return Status::InvalidArgument("snapshot: " + s.message());
   }
   // A cell is its arity word, arity() coordinates and a count.

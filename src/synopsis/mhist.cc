@@ -6,6 +6,7 @@
 
 #include "src/common/mem_accounting.h"
 #include "src/common/serde.h"
+#include "src/common/string_util.h"
 #include "src/tuple/serde.h"
 
 namespace datatriage::synopsis {
@@ -74,16 +75,21 @@ void ConsiderSplits(const BuildBucket& bucket, size_t bucket_index,
   }
 }
 
-}  // namespace
-
-Result<SynopsisPtr> MHist::Make(Schema schema, const MHistConfig& config) {
-  DT_RETURN_IF_ERROR(CheckNumericSchema(schema));
+Status CheckConfig(const MHistConfig& config) {
   if (config.max_buckets == 0) {
     return Status::InvalidArgument("MHIST bucket budget must be > 0");
   }
   if (config.aligned && config.alignment_step <= 0) {
     return Status::InvalidArgument("MHIST alignment step must be > 0");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<SynopsisPtr> MHist::Make(Schema schema, const MHistConfig& config) {
+  DT_RETURN_IF_ERROR(CheckNumericSchema(schema));
+  DT_RETURN_IF_ERROR(CheckConfig(config));
   return SynopsisPtr(new MHist(std::move(schema), config));
 }
 
@@ -437,22 +443,33 @@ void MHist::SaveState(serde::Writer* writer) const {
 }
 
 Status MHist::LoadState(serde::Reader* reader) {
-  DT_ASSIGN_OR_RETURN(const uint64_t max_buckets, reader->ReadU64());
-  config_.max_buckets = max_buckets;
-  DT_ASSIGN_OR_RETURN(config_.aligned, reader->ReadBool());
-  DT_ASSIGN_OR_RETURN(config_.alignment_step, reader->ReadDouble());
-  DT_ASSIGN_OR_RETURN(const uint64_t buffered, reader->ReadCount(16));
-  buffer_.clear();
-  for (uint64_t i = 0; i < buffered; ++i) {
-    DT_ASSIGN_OR_RETURN(Tuple t, LoadTuple(reader));
-    buffer_.push_back(std::move(t));
+  MHistConfig config = config_;
+  DT_ASSIGN_OR_RETURN(config.max_buckets, reader->ReadU64());
+  DT_ASSIGN_OR_RETURN(config.aligned, reader->ReadBool());
+  DT_ASSIGN_OR_RETURN(config.alignment_step, reader->ReadDouble());
+  if (Status s = CheckConfig(config); !s.ok()) {
+    return Status::InvalidArgument("snapshot: " + s.message());
   }
-  DT_ASSIGN_OR_RETURN(built_, reader->ReadBool());
+  DT_ASSIGN_OR_RETURN(const uint64_t buffered, reader->ReadCount(16));
+  std::vector<Tuple> buffer;
+  buffer.reserve(buffered);
+  for (uint64_t i = 0; i < buffered; ++i) {
+    DT_ASSIGN_OR_RETURN(Tuple t, LoadRow(reader));
+    buffer.push_back(std::move(t));
+  }
+  DT_ASSIGN_OR_RETURN(const bool built, reader->ReadBool());
   DT_ASSIGN_OR_RETURN(const uint64_t num_buckets, reader->ReadCount(8));
-  buckets_.clear();
+  std::vector<Bucket> buckets(num_buckets);
   for (uint64_t i = 0; i < num_buckets; ++i) {
-    Bucket b;
-    DT_ASSIGN_OR_RETURN(const uint64_t dims, reader->ReadCount(16));
+    Bucket& b = buckets[i];
+    DT_ASSIGN_OR_RETURN(const uint64_t dims, reader->ReadU64());
+    if (dims != schema_.num_fields()) {
+      return Status::InvalidArgument(StringPrintf(
+          "snapshot: MHIST bucket %llu has %llu coordinate(s), schema has "
+          "%zu",
+          static_cast<unsigned long long>(i),
+          static_cast<unsigned long long>(dims), schema_.num_fields()));
+    }
     b.lo.resize(dims);
     b.hi.resize(dims);
     for (uint64_t d = 0; d < dims; ++d) {
@@ -462,9 +479,13 @@ Status MHist::LoadState(serde::Reader* reader) {
       DT_ASSIGN_OR_RETURN(b.hi[d], reader->ReadDouble());
     }
     DT_ASSIGN_OR_RETURN(b.count, reader->ReadDouble());
-    buckets_.push_back(std::move(b));
   }
-  DT_ASSIGN_OR_RETURN(total_count_, reader->ReadDouble());
+  DT_ASSIGN_OR_RETURN(const double total_count, reader->ReadDouble());
+  config_ = config;
+  buffer_ = std::move(buffer);
+  built_ = built;
+  buckets_ = std::move(buckets);
+  total_count_ = total_count;
   RecomputeMemoryBytes();
   return Status::OK();
 }

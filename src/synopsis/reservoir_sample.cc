@@ -198,21 +198,24 @@ void ReservoirSample::SaveState(serde::Writer* writer) const {
 }
 
 Status ReservoirSample::LoadState(serde::Reader* reader) {
-  DT_ASSIGN_OR_RETURN(const uint64_t capacity, reader->ReadU64());
-  config_.capacity = capacity;
-  DT_ASSIGN_OR_RETURN(config_.seed, reader->ReadU64());
-  DT_RETURN_IF_ERROR(serde::LoadRngEngine(reader, &rng_.engine()));
-  DT_ASSIGN_OR_RETURN(materialized_, reader->ReadBool());
-  DT_ASSIGN_OR_RETURN(seen_, reader->ReadI64());
+  ReservoirSampleConfig config = config_;
+  DT_ASSIGN_OR_RETURN(config.capacity, reader->ReadU64());
+  DT_ASSIGN_OR_RETURN(config.seed, reader->ReadU64());
+  std::mt19937_64 engine;
+  DT_RETURN_IF_ERROR(serde::LoadRngEngine(reader, &engine));
+  DT_ASSIGN_OR_RETURN(const bool materialized, reader->ReadBool());
+  DT_ASSIGN_OR_RETURN(const int64_t seen, reader->ReadI64());
   DT_ASSIGN_OR_RETURN(const uint64_t num_rows, reader->ReadCount(16));
-  rows_.clear();
-  rows_.reserve(num_rows);
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    WeightedRow r;
-    DT_ASSIGN_OR_RETURN(r.tuple, LoadTuple(reader));
+  std::vector<WeightedRow> rows(num_rows);
+  for (WeightedRow& r : rows) {
+    DT_ASSIGN_OR_RETURN(r.tuple, LoadRow(reader));
     DT_ASSIGN_OR_RETURN(r.weight, reader->ReadDouble());
-    rows_.push_back(std::move(r));
   }
+  config_ = config;
+  rng_.engine() = engine;
+  materialized_ = materialized;
+  seen_ = seen;
+  rows_ = std::move(rows);
   RecomputeMemoryBytes();
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/string_util.h"
+#include "src/tuple/serde.h"
 
 namespace datatriage::synopsis {
 
@@ -211,6 +212,33 @@ Status Synopsis::CheckNumericSchema(const Schema& schema) {
     }
   }
   return Status::OK();
+}
+
+Status Synopsis::CheckCellWidth(const char* family, double cell_width) {
+  if (!std::isfinite(cell_width) || cell_width <= 0) {
+    return Status::InvalidArgument(StringPrintf(
+        "%s cell_width must be finite and > 0, got %g", family,
+        cell_width));
+  }
+  return Status::OK();
+}
+
+Result<Tuple> Synopsis::LoadRow(serde::Reader* reader) const {
+  DT_ASSIGN_OR_RETURN(Tuple row, LoadTuple(reader));
+  if (row.size() != schema_.num_fields()) {
+    return Status::InvalidArgument(StringPrintf(
+        "snapshot: %s row has %zu value(s), schema has %zu",
+        std::string(SynopsisTypeToString(type())).c_str(), row.size(),
+        schema_.num_fields()));
+  }
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (!row.value(i).is_numeric()) {
+      return Status::InvalidArgument(StringPrintf(
+          "snapshot: %s row value %zu is not numeric",
+          std::string(SynopsisTypeToString(type())).c_str(), i));
+    }
+  }
+  return row;
 }
 
 std::string Synopsis::DebugString() const {

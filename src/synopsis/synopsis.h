@@ -186,6 +186,17 @@ class Synopsis {
  protected:
   explicit Synopsis(Schema schema) : schema_(std::move(schema)) {}
 
+  /// A histogram cell width must be finite and > 0: cell coordinates
+  /// divide by it and cast the quotient to int64, which is undefined
+  /// behaviour otherwise. `family` names the synopsis in the message.
+  static Status CheckCellWidth(const char* family, double cell_width);
+
+  /// Reads one row in SaveTuple's layout for LoadState and checks it
+  /// against the schema, one numeric value per column, so hostile
+  /// snapshot bytes get InvalidArgument instead of an abort in
+  /// Tuple::value or Value::AsDouble.
+  Result<Tuple> LoadRow(serde::Reader* reader) const;
+
   Schema schema_;
 
  private:

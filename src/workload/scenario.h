@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "src/catalog/catalog.h"
-#include "src/engine/engine.h"
+#include "src/engine/config.h"
 #include "src/workload/arrival.h"
 #include "src/workload/generator.h"
 

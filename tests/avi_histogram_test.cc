@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "src/common/random.h"
+#include "src/common/serde.h"
 #include "src/synopsis/grid_histogram.h"
 #include "tests/test_util.h"
 
@@ -171,6 +175,67 @@ TEST(AviHistogramTest, CloneIsIndependent) {
   c->Insert(Row({2}));
   EXPECT_DOUBLE_EQ(s->TotalCount(), 1.0);
   EXPECT_DOUBLE_EQ(c->TotalCount(), 2.0);
+}
+
+// ---------------------------------------------------------------------
+// LoadState rejects snapshot bytes that would break the histogram, and
+// replaces nothing when it does. The states are written field by field
+// in SaveState's layout: cell width, marginal count, per marginal its
+// cell count and (coordinate, mass) cells, then the total.
+
+std::string AviState(double width, uint64_t marginals) {
+  serde::Writer writer;
+  writer.WriteDouble(width);
+  writer.WriteU64(marginals);
+  for (uint64_t d = 0; d < marginals; ++d) {
+    writer.WriteU64(1);
+    writer.WriteI64(0);
+    writer.WriteDouble(1.0);
+  }
+  writer.WriteDouble(1.0);
+  return writer.TakeBytes();
+}
+
+/// Loads `bytes` into a two-column histogram already holding two rows,
+/// and checks a rejection left them in place.
+Status LoadAvi(const std::string& bytes) {
+  SynopsisPtr h = MakeAvi(TwoCol());
+  h->Insert(Row({1, 2}));
+  h->Insert(Row({5, 6}));
+  serde::Reader reader(bytes);
+  const Status status = h->LoadState(&reader);
+  if (!status.ok()) EXPECT_DOUBLE_EQ(h->TotalCount(), 2.0);
+  return status;
+}
+
+TEST(AviHistogramLoadStateTest, RejectsMarginalCountOtherThanSchema) {
+  for (const uint64_t marginals : {0u, 1u, 3u}) {
+    const Status status = LoadAvi(AviState(4.0, marginals));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << marginals << " marginal(s): " << status.ToString();
+  }
+}
+
+TEST(AviHistogramLoadStateTest, RejectsNonFiniteOrNonPositiveWidth) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double width :
+       {0.0, -0.0, -4.0, kInf, -kInf,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    const Status status = LoadAvi(AviState(width, 2));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "width " << width << ": " << status.ToString();
+  }
+  EXPECT_FALSE(AviHistogram::Make(OneCol(), {kInf}).ok());
+}
+
+TEST(AviHistogramLoadStateTest, PristineStateRoundTrips) {
+  SynopsisPtr h = MakeAvi(TwoCol());
+  const std::string bytes = AviState(2.5, 2);
+  serde::Reader reader(bytes);
+  ASSERT_TRUE(h->LoadState(&reader).ok());
+  serde::Writer resaved;
+  h->SaveState(&resaved);
+  EXPECT_EQ(resaved.bytes(), bytes);
 }
 
 }  // namespace

@@ -15,10 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/engine.h"
 #include "src/exec/evaluator.h"
 #include "src/exec/task_pool.h"
 #include "src/io/csv.h"
+#include "src/server/stream_server.h"
 #include "tests/test_util.h"
 
 namespace datatriage::exec {
@@ -339,18 +339,19 @@ TEST(ColumnBatchEngineTest, WindowSpanningMultiplePushChunksStaysScalarParity) {
     engine::EngineConfig config;
     config.vectorized_exec = vectorized;
     config.vectorized_min_rows = min_rows;
-    auto engine = engine::ContinuousQueryEngine::Make(
-        catalog, testing::kPaperQuery, config);
-    DT_CHECK(engine.ok()) << engine.status().ToString();
+    server::StreamServer server(catalog);
+    auto id = server.RegisterQuery(testing::kPaperQuery, config);
+    DT_CHECK(id.ok()) << id.status().ToString();
     for (size_t i = 0; i < events.size(); i += 2) {
       const size_t n = std::min<size_t>(2, events.size() - i);
-      DT_CHECK((*engine)
-                   ->PushBatch(std::span<const engine::StreamEvent>(
+      DT_CHECK(server
+                   .PushBatch(std::span<const engine::StreamEvent>(
                        events.data() + i, n))
                    .ok());
     }
-    DT_CHECK((*engine)->Finish().ok());
-    return io::FormatResultsCsv((*engine)->TakeResults(), {"a", "count"});
+    DT_CHECK(server.Finish().ok());
+    return io::FormatResultsCsv(server.session(*id).TakeResults(),
+                                {"a", "count"});
   };
 
   const std::string scalar_csv = run(false, 0);

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/engine/engine.h"
 #include "src/exec/evaluator.h"
 #include "src/rewrite/differential.h"
 #include "src/rewrite/sql_emitter.h"
@@ -120,15 +119,14 @@ TEST(ComputeEngineTest, RunsEndToEndWithoutSynopsisView) {
   engine::EngineConfig config;
   config.strategy = triage::SheddingStrategy::kDataTriage;
   config.queue_capacity = 5;
-  auto engine = engine::ContinuousQueryEngine::Make(
-      catalog, "SELECT a + 100 AS shifted FROM R", config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<engine::StreamEvent> events;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        (*engine)->Push({"r", Row({i % 7}, 0.1 + 1e-5 * i)}).ok());
+    events.push_back({"r", Row({i % 7}, 0.1 + 1e-5 * i)});
   }
-  ASSERT_TRUE((*engine)->Finish().ok());
-  std::vector<engine::WindowResult> results = (*engine)->TakeResults();
+  const std::vector<engine::WindowResult> results =
+      testing::RunSolo(catalog, "SELECT a + 100 AS shifted FROM R", config,
+                       events)
+          .results;
   ASSERT_EQ(results.size(), 1u);
   EXPECT_GT(results[0].kept_tuples, 0);
   EXPECT_GT(results[0].dropped_tuples, 0);

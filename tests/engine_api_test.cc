@@ -1,7 +1,6 @@
-// Tests for the engine's public-API surface added by the observability
-// PR: EngineConfig::Validate, SetWindowSink streaming delivery,
-// StatsSnapshot, Push timestamp hardening, and deterministic metrics
-// export at the engine level.
+// Tests for the public API around one query: EngineConfig::Validate,
+// SetWindowSink streaming delivery, StatsSnapshot, Push timestamp
+// hardening, and deterministic per-session metrics export.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/engine.h"
 #include "src/io/csv.h"
 #include "src/obs/export.h"
 #include "src/plan/binder.h"
@@ -63,11 +61,11 @@ TEST(EngineConfigValidateTest, RejectsZeroQueueCapacity) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("queue_capacity"), std::string::npos);
-  // Make() must refuse with the same diagnosis, not crash later.
-  auto engine = ContinuousQueryEngine::Make(
-      PaperCatalog(), testing::kPaperQuery, config);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status(), status);
+  // RegisterQuery must refuse with the same diagnosis, not crash later.
+  server::StreamServer server(PaperCatalog());
+  auto id = server.RegisterQuery(testing::kPaperQuery, config);
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status(), status);
 }
 
 TEST(EngineConfigValidateTest, RejectsSynergisticWithoutSynopsizing) {
@@ -145,34 +143,38 @@ TEST(StreamServerOptionsValidateTest, SurfacesSchedulerInvariants) {
 // --- Push timestamp hardening -------------------------------------------
 
 TEST(EnginePushTest, RejectsNonFiniteTimestampsWithoutSideEffects) {
-  auto engine = ContinuousQueryEngine::Make(
-      PaperCatalog(), testing::kPaperQuery, TriageConfig());
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  server::StreamServer server(PaperCatalog());
+  auto id = server.RegisterQuery(testing::kPaperQuery, TriageConfig());
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   const double bad_timestamps[] = {
       std::numeric_limits<double>::quiet_NaN(),
       std::numeric_limits<double>::infinity(),
       -std::numeric_limits<double>::infinity()};
   for (double ts : bad_timestamps) {
-    Status status = (*engine)->Push({"r", Row({5}, ts)});
+    Status status = server.Push({"r", Row({5}, ts)});
     ASSERT_FALSE(status.ok()) << "timestamp " << ts;
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(status.message().find("finite"), std::string::npos);
   }
 
-  // The rejected pushes left no trace: the engine still accepts the full
+  // The rejected pushes left no trace: the server still accepts the full
   // in-order timeline and accounts only for it.
   for (int w = 0; w < 3; ++w) {
     const double base = static_cast<double>(w);
-    ASSERT_TRUE((*engine)->Push({"r", Row({5}, base + 0.1)}).ok());
-    ASSERT_TRUE((*engine)->Push({"s", Row({5, 7}, base + 0.2)}).ok());
-    ASSERT_TRUE((*engine)->Push({"t", Row({7}, base + 0.3)}).ok());
+    ASSERT_TRUE(server.Push({"r", Row({5}, base + 0.1)}).ok());
+    ASSERT_TRUE(server.Push({"s", Row({5, 7}, base + 0.2)}).ok());
+    ASSERT_TRUE(server.Push({"t", Row({7}, base + 0.3)}).ok());
   }
-  ASSERT_TRUE((*engine)->Finish().ok());
-  const EngineStatsSnapshot snapshot = (*engine)->StatsSnapshot();
+  ASSERT_TRUE(server.Finish().ok());
+  server::QuerySession& session = server.session(*id);
+  const EngineStatsSnapshot snapshot = session.StatsSnapshot();
   EXPECT_EQ(snapshot.core.tuples_ingested, 9);
   EXPECT_EQ(snapshot.counters.at("engine.tuples_ingested"), 9);
-  EXPECT_EQ((*engine)->TakeResults().size(), 3u);
+  EXPECT_EQ(session.TakeResults().size(), 3u);
+  EXPECT_EQ(
+      server.server_metrics().CounterTotals().at("server.events_pushed"),
+      9);
 }
 
 // --- SetWindowSink ------------------------------------------------------
@@ -181,14 +183,11 @@ std::vector<std::string> ResultColumns() { return {"a", "count"}; }
 
 std::string RunBuffered(const workload::Scenario& scenario,
                         const EngineConfig& config) {
-  auto engine = ContinuousQueryEngine::Make(scenario.catalog,
-                                            scenario.query_sql, config);
-  DT_CHECK(engine.ok()) << engine.status().ToString();
-  for (const StreamEvent& event : scenario.events) {
-    DT_CHECK((*engine)->Push(event).ok());
-  }
-  DT_CHECK((*engine)->Finish().ok());
-  return io::FormatResultsCsv((*engine)->TakeResults(), ResultColumns());
+  return io::FormatResultsCsv(
+      testing::RunSolo(scenario.catalog, scenario.query_sql, config,
+                       scenario.events)
+          .results,
+      ResultColumns());
 }
 
 TEST(WindowSinkTest, DeliversExactlyTheBufferedWindows) {
@@ -196,19 +195,20 @@ TEST(WindowSinkTest, DeliversExactlyTheBufferedWindows) {
   const EngineConfig config = TriageConfig();
   const std::string buffered = RunBuffered(scenario, config);
 
-  auto engine = ContinuousQueryEngine::Make(scenario.catalog,
-                                            scenario.query_sql, config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  server::StreamServer server(scenario.catalog);
+  auto id = server.RegisterQuery(scenario.query_sql, config);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  server::QuerySession& session = server.session(*id);
   std::vector<WindowResult> streamed;
-  (*engine)->SetWindowSink(
+  session.SetWindowSink(
       [&](WindowResult&& result) { streamed.push_back(std::move(result)); });
   for (const StreamEvent& event : scenario.events) {
-    ASSERT_TRUE((*engine)->Push(event).ok());
+    ASSERT_TRUE(server.Push(event).ok());
   }
-  ASSERT_TRUE((*engine)->Finish().ok());
+  ASSERT_TRUE(server.Finish().ok());
 
   // With a sink installed nothing is buffered...
-  EXPECT_TRUE((*engine)->TakeResults().empty());
+  EXPECT_TRUE(session.TakeResults().empty());
   // ...and the streamed windows are byte-for-byte the buffered run's,
   // in the same order.
   EXPECT_GT(streamed.size(), 0u);
@@ -220,24 +220,25 @@ TEST(WindowSinkTest, LateInstallFlushesBufferedWindowsInOrder) {
   const EngineConfig config = TriageConfig();
   const std::string buffered = RunBuffered(scenario, config);
 
-  auto engine = ContinuousQueryEngine::Make(scenario.catalog,
-                                            scenario.query_sql, config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  server::StreamServer server(scenario.catalog);
+  auto id = server.RegisterQuery(scenario.query_sql, config);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  server::QuerySession& session = server.session(*id);
   // Feed half the timeline buffered, then switch to streaming: the sink
   // must first receive everything already emitted.
   const size_t half = scenario.events.size() / 2;
   for (size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE((*engine)->Push(scenario.events[i]).ok());
+    ASSERT_TRUE(server.Push(scenario.events[i]).ok());
   }
   std::vector<WindowResult> streamed;
-  (*engine)->SetWindowSink(
+  session.SetWindowSink(
       [&](WindowResult&& result) { streamed.push_back(std::move(result)); });
   for (size_t i = half; i < scenario.events.size(); ++i) {
-    ASSERT_TRUE((*engine)->Push(scenario.events[i]).ok());
+    ASSERT_TRUE(server.Push(scenario.events[i]).ok());
   }
-  ASSERT_TRUE((*engine)->Finish().ok());
+  ASSERT_TRUE(server.Finish().ok());
 
-  EXPECT_TRUE((*engine)->TakeResults().empty());
+  EXPECT_TRUE(session.TakeResults().empty());
   EXPECT_EQ(io::FormatResultsCsv(streamed, ResultColumns()), buffered);
   for (size_t i = 1; i < streamed.size(); ++i) {
     EXPECT_LT(streamed[i - 1].window, streamed[i].window);
@@ -248,15 +249,14 @@ TEST(WindowSinkTest, LateInstallFlushesBufferedWindowsInOrder) {
 
 TEST(StatsSnapshotTest, EmbedsRegistryConsistentWithCoreStats) {
   const workload::Scenario scenario = OverloadScenario();
-  auto engine = ContinuousQueryEngine::Make(
-      scenario.catalog, scenario.query_sql, TriageConfig());
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  for (const StreamEvent& event : scenario.events) {
-    ASSERT_TRUE((*engine)->Push(event).ok());
-  }
-  ASSERT_TRUE((*engine)->Finish().ok());
+  server::StreamServer server(scenario.catalog);
+  auto id = server.RegisterQuery(scenario.query_sql, TriageConfig());
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(server.PushBatch(scenario.events).ok());
+  ASSERT_TRUE(server.Finish().ok());
+  const server::QuerySession& session = server.session(*id);
 
-  const EngineStatsSnapshot snapshot = (*engine)->StatsSnapshot();
+  const EngineStatsSnapshot snapshot = session.StatsSnapshot();
   EXPECT_GT(snapshot.core.tuples_dropped, 0);
   EXPECT_EQ(snapshot.counters.at("engine.tuples_ingested"),
             snapshot.core.tuples_ingested);
@@ -290,7 +290,7 @@ TEST(StatsSnapshotTest, EmbedsRegistryConsistentWithCoreStats) {
   EXPECT_LE(max_depth, 50.0);
 
   // The per-window trace covers every emitted window, in order.
-  const auto& records = (*engine)->trace().records();
+  const auto& records = session.trace().records();
   ASSERT_EQ(records.size(),
             static_cast<size_t>(snapshot.core.windows_emitted));
   int64_t traced_kept = 0;
@@ -302,14 +302,13 @@ TEST(StatsSnapshotTest, MetricsJsonIsDeterministicAcrossRuns) {
   std::string first, second;
   for (std::string* out : {&first, &second}) {
     const workload::Scenario scenario = OverloadScenario(3);
-    auto engine = ContinuousQueryEngine::Make(
-        scenario.catalog, scenario.query_sql, TriageConfig());
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    for (const StreamEvent& event : scenario.events) {
-      ASSERT_TRUE((*engine)->Push(event).ok());
-    }
-    ASSERT_TRUE((*engine)->Finish().ok());
-    *out = obs::MetricsJson((*engine)->metrics(), &(*engine)->trace());
+    server::StreamServer server(scenario.catalog);
+    auto id = server.RegisterQuery(scenario.query_sql, TriageConfig());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(server.PushBatch(scenario.events).ok());
+    ASSERT_TRUE(server.Finish().ok());
+    const server::QuerySession& session = server.session(*id);
+    *out = obs::MetricsJson(session.metrics(), &session.trace());
   }
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("\"windows\": ["), std::string::npos);

@@ -1,5 +1,3 @@
-#include "src/engine/engine.h"
-
 #include <gtest/gtest.h>
 
 #include "src/metrics/ideal.h"
@@ -13,6 +11,8 @@ namespace {
 using triage::SheddingStrategy;
 using testing::PaperCatalog;
 using testing::Row;
+using testing::RunSolo;
+using testing::SoloRun;
 
 EngineConfig FastConfig(SheddingStrategy strategy) {
   EngineConfig config;
@@ -21,28 +21,6 @@ EngineConfig FastConfig(SheddingStrategy strategy) {
   config.synopsis.type = synopsis::SynopsisType::kGridHistogram;
   config.synopsis.grid.cell_width = 4.0;
   return config;
-}
-
-struct RunOutput {
-  std::vector<WindowResult> results;
-  EngineStats stats;
-};
-
-RunOutput MustRun(const Catalog& catalog, const std::string& sql,
-                  EngineConfig config,
-                  const std::vector<StreamEvent>& events) {
-  auto engine = ContinuousQueryEngine::Make(catalog, sql, config);
-  DT_CHECK(engine.ok()) << engine.status().ToString();
-  for (const StreamEvent& e : events) {
-    Status s = (*engine)->Push(e);
-    DT_CHECK(s.ok()) << s.ToString();
-  }
-  Status s = (*engine)->Finish();
-  DT_CHECK(s.ok()) << s.ToString();
-  RunOutput out;
-  out.results = (*engine)->TakeResults();
-  out.stats = (*engine)->StatsSnapshot().core;
-  return out;
 }
 
 std::vector<StreamEvent> OneMatchPerWindow(int windows) {
@@ -60,8 +38,8 @@ std::vector<StreamEvent> OneMatchPerWindow(int windows) {
 
 TEST(EngineTest, UnderloadProducesExactResults) {
   Catalog catalog = PaperCatalog();
-  RunOutput out =
-      MustRun(catalog, testing::kPaperQuery,
+  SoloRun out =
+      RunSolo(catalog, testing::kPaperQuery,
               FastConfig(SheddingStrategy::kDataTriage),
               OneMatchPerWindow(5));
   EXPECT_EQ(out.stats.tuples_dropped, 0);
@@ -80,8 +58,8 @@ TEST(EngineTest, UnderloadProducesExactResults) {
 
 TEST(EngineTest, ResultsEmittedInWindowOrderWithDeadlines) {
   Catalog catalog = PaperCatalog();
-  RunOutput out =
-      MustRun(catalog, testing::kPaperQuery,
+  SoloRun out =
+      RunSolo(catalog, testing::kPaperQuery,
               FastConfig(SheddingStrategy::kDataTriage),
               OneMatchPerWindow(4));
   ASSERT_EQ(out.results.size(), 4u);
@@ -106,7 +84,7 @@ TEST(EngineTest, QueueOverflowShedsAndTriageEstimatesLoss) {
     events.push_back({"s", Row({5, 7}, t)});
     events.push_back({"t", Row({7}, t)});
   }
-  RunOutput out = MustRun(catalog, testing::kPaperQuery, config, events);
+  SoloRun out = RunSolo(catalog, testing::kPaperQuery, config, events);
   EXPECT_GT(out.stats.tuples_dropped, 0);
   ASSERT_EQ(out.results.size(), 1u);
   const WindowResult& r = out.results[0];
@@ -132,8 +110,8 @@ TEST(EngineTest, QueueOverflowShedsAndTriageEstimatesLoss) {
 
 TEST(EngineTest, SummarizeOnlyKeepsNothingButEstimates) {
   Catalog catalog = PaperCatalog();
-  RunOutput out =
-      MustRun(catalog, testing::kPaperQuery,
+  SoloRun out =
+      RunSolo(catalog, testing::kPaperQuery,
               FastConfig(SheddingStrategy::kSummarizeOnly),
               OneMatchPerWindow(3));
   EXPECT_EQ(out.stats.tuples_kept, 0);
@@ -156,7 +134,7 @@ TEST(EngineTest, DropOnlyNeverEstimates) {
     events.push_back({"s", Row({5, 7}, t)});
     events.push_back({"t", Row({7}, t)});
   }
-  RunOutput out = MustRun(catalog, testing::kPaperQuery, config, events);
+  SoloRun out = RunSolo(catalog, testing::kPaperQuery, config, events);
   EXPECT_GT(out.stats.tuples_dropped, 0);
   for (const WindowResult& r : out.results) {
     EXPECT_TRUE(r.shadow_estimate.empty());
@@ -174,7 +152,7 @@ TEST(EngineTest, NonAggregateQueryDeliversRowsAndLossSynopsis) {
   for (int i = 0; i < 40; ++i) {
     events.push_back({"r", Row({5}, 0.1 + 1e-5 * i)});
   }
-  RunOutput out = MustRun(catalog, "SELECT a FROM R", config, events);
+  SoloRun out = RunSolo(catalog, "SELECT a FROM R", config, events);
   ASSERT_EQ(out.results.size(), 1u);
   const WindowResult& r = out.results[0];
   EXPECT_GT(r.kept_tuples, 0);
@@ -188,54 +166,52 @@ TEST(EngineTest, NonAggregateQueryDeliversRowsAndLossSynopsis) {
 TEST(EngineTest, RejectsBadUsage) {
   Catalog catalog = PaperCatalog();
   EngineConfig config = FastConfig(SheddingStrategy::kDataTriage);
-  auto engine =
-      ContinuousQueryEngine::Make(catalog, testing::kPaperQuery, config);
-  ASSERT_TRUE(engine.ok());
+  server::StreamServer server(catalog);
+  ASSERT_TRUE(server.RegisterQuery(testing::kPaperQuery, config).ok());
   // Unknown stream.
-  EXPECT_EQ((*engine)->Push({"zzz", Row({1}, 0.1)}).code(),
+  EXPECT_EQ(server.Push({"zzz", Row({1}, 0.1)}).code(),
             StatusCode::kNotFound);
   // Arity mismatch.
-  EXPECT_EQ((*engine)->Push({"s", Row({1}, 0.1)}).code(),
+  EXPECT_EQ(server.Push({"s", Row({1}, 0.1)}).code(),
             StatusCode::kInvalidArgument);
   // Out-of-order timestamps.
-  ASSERT_TRUE((*engine)->Push({"r", Row({1}, 5.0)}).ok());
-  EXPECT_EQ((*engine)->Push({"r", Row({1}, 4.0)}).code(),
+  ASSERT_TRUE(server.Push({"r", Row({1}, 5.0)}).ok());
+  EXPECT_EQ(server.Push({"r", Row({1}, 4.0)}).code(),
             StatusCode::kInvalidArgument);
   // Push after Finish.
-  ASSERT_TRUE((*engine)->Finish().ok());
-  EXPECT_FALSE((*engine)->Push({"r", Row({1}, 9.0)}).ok());
+  ASSERT_TRUE(server.Finish().ok());
+  EXPECT_FALSE(server.Push({"r", Row({1}, 9.0)}).ok());
   // Finish is idempotent.
-  EXPECT_TRUE((*engine)->Finish().ok());
+  EXPECT_TRUE(server.Finish().ok());
 }
 
 TEST(EngineTest, RejectsUnsupportedQueries) {
-  Catalog catalog = PaperCatalog();
+  server::StreamServer server(PaperCatalog());
   EngineConfig config = FastConfig(SheddingStrategy::kDataTriage);
-  EXPECT_EQ(ContinuousQueryEngine::Make(catalog, "SELECT DISTINCT a FROM R",
-                                        config)
+  EXPECT_EQ(server.RegisterQuery("SELECT DISTINCT a FROM R", config)
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
-  EXPECT_EQ(
-      ContinuousQueryEngine::Make(
-          catalog,
-          "SELECT a FROM R, S WHERE R.a = S.b WINDOW R['1 second'], "
-          "S['2 seconds']",
-          config)
-          .status()
-          .code(),
-      StatusCode::kUnimplemented);
-  EXPECT_EQ(ContinuousQueryEngine::Make(
-                catalog, "(SELECT a FROM R) EXCEPT (SELECT d FROM T)",
-                config)
+  EXPECT_EQ(server
+                .RegisterQuery(
+                    "SELECT a FROM R, S WHERE R.a = S.b WINDOW "
+                    "R['1 second'], S['2 seconds']",
+                    config)
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(server
+                .RegisterQuery(
+                    "(SELECT a FROM R) EXCEPT (SELECT d FROM T)", config)
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
   // ... but EXCEPT is fine under drop-only shedding (no shadow plan).
   EngineConfig drop_config = FastConfig(SheddingStrategy::kDropOnly);
-  EXPECT_TRUE(ContinuousQueryEngine::Make(
-                  catalog, "(SELECT a FROM R) EXCEPT (SELECT d FROM T)",
-                  drop_config)
+  EXPECT_TRUE(server
+                  .RegisterQuery(
+                      "(SELECT a FROM R) EXCEPT (SELECT d FROM T)",
+                      drop_config)
                   .ok());
 }
 
@@ -271,7 +247,7 @@ TEST(EngineTest, AllAggregatesLosslessUnderExactSynopsis) {
   config.strategy = SheddingStrategy::kDataTriage;
   config.queue_capacity = 30;
   config.synopsis.type = synopsis::SynopsisType::kExact;
-  RunOutput out = MustRun(catalog, query, config, events);
+  SoloRun out = RunSolo(catalog, query, config, events);
   EXPECT_GT(out.stats.tuples_dropped, 0);
 
   for (const WindowResult& r : out.results) {
@@ -301,8 +277,8 @@ TEST(EngineTest, SynergisticPolicyRequiresSynopsizingStrategy) {
   Catalog catalog = PaperCatalog();
   EngineConfig config = FastConfig(SheddingStrategy::kDropOnly);
   config.drop_policy = triage::DropPolicyKind::kSynergistic;
-  EXPECT_EQ(ContinuousQueryEngine::Make(catalog, testing::kPaperQuery,
-                                        config)
+  server::StreamServer server(catalog);
+  EXPECT_EQ(server.RegisterQuery(testing::kPaperQuery, config)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -320,7 +296,7 @@ TEST(EngineTest, SynergisticPolicyRunsUnderDataTriage) {
     events.push_back({"s", Row({5, 7}, t)});
     events.push_back({"t", Row({7}, t)});
   }
-  RunOutput out = MustRun(catalog, testing::kPaperQuery, config, events);
+  SoloRun out = RunSolo(catalog, testing::kPaperQuery, config, events);
   EXPECT_GT(out.stats.tuples_dropped, 0);
   ASSERT_EQ(out.results.size(), 1u);
   EXPECT_FALSE(out.results[0].merged_rows.empty());
@@ -335,9 +311,9 @@ TEST(EngineTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(scenario.ok());
   EngineConfig config = FastConfig(SheddingStrategy::kDataTriage);
   config.seed = 5;
-  RunOutput a = MustRun(scenario->catalog, scenario->query_sql, config,
+  SoloRun a = RunSolo(scenario->catalog, scenario->query_sql, config,
                         scenario->events);
-  RunOutput b = MustRun(scenario->catalog, scenario->query_sql, config,
+  SoloRun b = RunSolo(scenario->catalog, scenario->query_sql, config,
                         scenario->events);
   ASSERT_EQ(a.results.size(), b.results.size());
   EXPECT_GT(a.stats.tuples_dropped, 0);
@@ -357,7 +333,7 @@ TEST(EngineTest, ExactMatchesIdealWhenNothingDropped) {
   auto scenario = workload::BuildPaperScenario(scenario_config);
   ASSERT_TRUE(scenario.ok());
   EngineConfig config = FastConfig(SheddingStrategy::kDataTriage);
-  RunOutput out = MustRun(scenario->catalog, scenario->query_sql, config,
+  SoloRun out = RunSolo(scenario->catalog, scenario->query_sql, config,
                           scenario->events);
   EXPECT_EQ(out.stats.tuples_dropped, 0);
 

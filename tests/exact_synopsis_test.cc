@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/common/serde.h"
 #include "src/synopsis/grid_histogram.h"
+#include "src/tuple/serde.h"
 #include "tests/test_util.h"
 
 namespace datatriage::synopsis {
@@ -115,6 +120,47 @@ TEST(AggAccumulatorTest, AddAndMerge) {
   EXPECT_DOUBLE_EQ(a.sum, 25.0);
   EXPECT_DOUBLE_EQ(a.min, 5.0);
   EXPECT_DOUBLE_EQ(a.max, 10.0);
+}
+
+// ---------------------------------------------------------------------
+// LoadState rejects restored rows that do not fit the schema, and
+// replaces nothing when it does. The states are written field by field
+// in SaveState's layout: the executor flag, then the (row, weight) pairs.
+
+std::string ExactState(const std::vector<Tuple>& rows) {
+  serde::Writer writer;
+  writer.WriteBool(true);
+  writer.WriteU64(rows.size());
+  for (const Tuple& row : rows) {
+    SaveTuple(&writer, row);
+    writer.WriteDouble(1.0);
+  }
+  return writer.TakeBytes();
+}
+
+TEST(ExactSynopsisLoadStateTest, RejectsRowsThatDoNotFitTheSchema) {
+  for (const Tuple& row :
+       {Row({1}), Row({1, 2, 3}),
+        Tuple({Value::Int64(1), Value::String("x")})}) {
+    SynopsisPtr s = MakeExact(TwoCol());
+    s->Insert(Row({4, 5}));
+    const std::string bytes = ExactState({Row({1, 2}), row});
+    serde::Reader reader(bytes);
+    const Status status = s->LoadState(&reader);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_DOUBLE_EQ(s->EstimatePointCount(Row({4, 5})), 1.0);
+  }
+}
+
+TEST(ExactSynopsisLoadStateTest, PristineStateRoundTrips) {
+  SynopsisPtr s = MakeExact(TwoCol());
+  const std::string bytes = ExactState({Row({1, 2}), Row({3, 4})});
+  serde::Reader reader(bytes);
+  ASSERT_TRUE(s->LoadState(&reader).ok());
+  serde::Writer resaved;
+  s->SaveState(&resaved);
+  EXPECT_EQ(resaved.bytes(), bytes);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "src/common/digest.h"
 #include "src/common/random.h"
 #include "src/common/string_util.h"
-#include "src/engine/engine.h"
 #include "src/io/csv.h"
 #include "src/synopsis/factory.h"
 #include "src/triage/shedding_strategy.h"
@@ -49,17 +48,9 @@ Result<std::vector<engine::WindowResult>> RunFig8Windows(
   engine_config.strategy = triage::SheddingStrategy::kDataTriage;
   engine_config.queue_capacity = 60;
   engine_config.synopsis = synopsis;
-  auto engine = engine::ContinuousQueryEngine::Make(
-      scenario->catalog, scenario->query_sql, engine_config);
-  if (!engine.ok()) return engine.status();
-
-  for (const engine::StreamEvent& event : scenario->events) {
-    Status status = (*engine)->Push(event);
-    if (!status.ok()) return status;
-  }
-  Status status = (*engine)->Finish();
-  if (!status.ok()) return status;
-  return (*engine)->TakeResults();
+  return testing::RunSolo(scenario->catalog, scenario->query_sql,
+                          engine_config, scenario->events)
+      .results;
 }
 
 Result<std::string> RunFig8Scenario(uint64_t seed) {
@@ -181,24 +172,20 @@ Result<std::string> RunMatchScenario(uint64_t seed) {
   config.strategy = triage::SheddingStrategy::kDropOnly;
   config.drop_policy = triage::DropPolicyKind::kUtility;
   config.queue_capacity = 8;
-  auto engine = engine::ContinuousQueryEngine::Make(
+  Rng rng(seed);
+  std::vector<engine::StreamEvent> events;
+  for (size_t i = 0; i < 800; ++i) {
+    events.push_back({"e", testing::Row({rng.UniformInt(0, 3),
+                                         rng.UniformInt(0, 4),
+                                         rng.UniformInt(0, 4)},
+                                        0.001 * static_cast<double>(i))});
+  }
+  const testing::SoloRun run = testing::RunSolo(
       catalog,
       "SELECT * FROM e MATCH (v = 1 THEN v = 2) PARTITION BY key WITHIN "
       "'0.5 seconds' WINDOW e['1 seconds']",
-      config);
-  if (!engine.ok()) return engine.status();
-
-  Rng rng(seed);
-  for (size_t i = 0; i < 800; ++i) {
-    const Tuple row = testing::Row({rng.UniformInt(0, 3),
-                                    rng.UniformInt(0, 4),
-                                    rng.UniformInt(0, 4)},
-                                   0.001 * static_cast<double>(i));
-    DT_RETURN_IF_ERROR((*engine)->Push({"e", row}));
-  }
-  DT_RETURN_IF_ERROR((*engine)->Finish());
-  return io::FormatResultsCsv((*engine)->TakeResults(),
-                              {"key", "t1", "t2"});
+      config, events);
+  return io::FormatResultsCsv(run.results, {"key", "t1", "t2"});
 }
 
 TEST(GoldenSeedTest, MatchScenarioDigestsArePinned) {

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/engine/engine.h"
 #include "src/exec/evaluator.h"
 #include "src/metrics/ideal.h"
 #include "src/rewrite/sql_emitter.h"
@@ -82,17 +81,14 @@ TEST(HavingEngineTest, AppliesToExactAndMergedRows) {
   const std::string query =
       "SELECT a, COUNT(*) AS n FROM R GROUP BY a HAVING n >= 100 "
       "WINDOW R['1 second']";
-  auto engine = engine::ContinuousQueryEngine::Make(catalog, query,
-                                                    config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   // 150 tuples of a=1 and 30 of a=2, faster than capacity.
+  std::vector<engine::StreamEvent> events;
   for (int i = 0; i < 180; ++i) {
     const int64_t a = i < 150 ? 1 : 2;
-    ASSERT_TRUE(
-        (*engine)->Push({"r", Row({a}, 0.1 + 1e-5 * i)}).ok());
+    events.push_back({"r", Row({a}, 0.1 + 1e-5 * i)});
   }
-  ASSERT_TRUE((*engine)->Finish().ok());
-  std::vector<engine::WindowResult> results = (*engine)->TakeResults();
+  const std::vector<engine::WindowResult> results =
+      testing::RunSolo(catalog, query, config, events).results;
   ASSERT_EQ(results.size(), 1u);
   EXPECT_GT(results[0].dropped_tuples, 0);
   // Merged: only group a=1 passes HAVING (150 >= 100); exact: the kept

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "src/engine/engine.h"
 #include "src/metrics/ideal.h"
 #include "src/metrics/rms.h"
 #include "src/metrics/stats.h"
@@ -10,7 +9,6 @@
 namespace datatriage {
 namespace {
 
-using engine::ContinuousQueryEngine;
 using engine::EngineConfig;
 using triage::SheddingStrategy;
 
@@ -31,15 +29,8 @@ double RunRms(const workload::Scenario& scenario,
               SheddingStrategy strategy, uint64_t engine_seed = 1) {
   EngineConfig config = BaseConfig(strategy);
   config.seed = engine_seed;
-  auto engine = ContinuousQueryEngine::Make(scenario.catalog,
-                                            scenario.query_sql, config);
-  DT_CHECK(engine.ok()) << engine.status().ToString();
-  for (const engine::StreamEvent& e : scenario.events) {
-    Status s = (*engine)->Push(e);
-    DT_CHECK(s.ok()) << s.ToString();
-  }
-  DT_CHECK((*engine)->Finish().ok());
-  std::vector<engine::WindowResult> results = (*engine)->TakeResults();
+  const testing::SoloRun run = testing::RunSolo(
+      scenario.catalog, scenario.query_sql, config, scenario.events);
 
   auto stmt = sql::ParseStatement(scenario.query_sql);
   DT_CHECK(stmt.ok());
@@ -48,7 +39,7 @@ double RunRms(const workload::Scenario& scenario,
   auto ideal = metrics::ComputeIdealResults(*bound, scenario.events,
                                             scenario.window_seconds);
   DT_CHECK(ideal.ok()) << ideal.status().ToString();
-  auto rms = metrics::RmsError(*ideal, results, 1,
+  auto rms = metrics::RmsError(*ideal, run.results, 1,
                                metrics::ResultChannel::kMerged);
   DT_CHECK(rms.ok()) << rms.status().ToString();
   return rms.value();
@@ -141,15 +132,9 @@ TEST(IntegrationTest, ExactSynopsisMakesDataTriageLossless) {
   workload::Scenario scenario = ConstantScenario(300.0, 23);
   EngineConfig config = BaseConfig(SheddingStrategy::kDataTriage);
   config.synopsis.type = synopsis::SynopsisType::kExact;
-  auto engine = ContinuousQueryEngine::Make(scenario.catalog,
-                                            scenario.query_sql, config);
-  ASSERT_TRUE(engine.ok());
-  for (const engine::StreamEvent& e : scenario.events) {
-    ASSERT_TRUE((*engine)->Push(e).ok());
-  }
-  ASSERT_TRUE((*engine)->Finish().ok());
-  EXPECT_GT((*engine)->StatsSnapshot().core.tuples_dropped, 0);
-  std::vector<engine::WindowResult> results = (*engine)->TakeResults();
+  const testing::SoloRun run = testing::RunSolo(
+      scenario.catalog, scenario.query_sql, config, scenario.events);
+  EXPECT_GT(run.stats.tuples_dropped, 0);
 
   auto stmt = sql::ParseStatement(scenario.query_sql);
   ASSERT_TRUE(stmt.ok());
@@ -158,7 +143,7 @@ TEST(IntegrationTest, ExactSynopsisMakesDataTriageLossless) {
   auto ideal = metrics::ComputeIdealResults(*bound, scenario.events,
                                             scenario.window_seconds);
   ASSERT_TRUE(ideal.ok());
-  auto rms = metrics::RmsError(*ideal, results, 1,
+  auto rms = metrics::RmsError(*ideal, run.results, 1,
                                metrics::ResultChannel::kMerged);
   ASSERT_TRUE(rms.ok());
   EXPECT_NEAR(rms.value(), 0.0, 1e-6);

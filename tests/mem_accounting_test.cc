@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/common/serde.h"
-#include "src/engine/engine.h"
 #include "src/io/csv.h"
 #include "src/server/snapshot.h"
 #include "src/server/stream_server.h"

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/serde.h"
+#include "src/tuple/serde.h"
 #include "tests/test_util.h"
 
 namespace datatriage::synopsis {
@@ -224,6 +228,84 @@ TEST(MHistTest, MoreBucketsGiveBetterAccuracy) {
     return std::sqrt(sq / 100.0);
   };
   EXPECT_LE(err(64), err(2) * 1.05);
+}
+
+// ---------------------------------------------------------------------
+// LoadState rejects snapshot bytes that would break the histogram, and
+// replaces nothing when it does. The states are written field by field
+// in SaveState's layout: bucket budget, aligned flag, alignment step,
+// the buffered rows, the built flag, then per bucket its arity word, lo
+// and hi coordinates and count, then the total.
+
+std::string MHistState(uint64_t max_buckets,
+                       const std::vector<Tuple>& buffered,
+                       const std::vector<uint64_t>& bucket_dims) {
+  serde::Writer writer;
+  writer.WriteU64(max_buckets);
+  writer.WriteBool(false);
+  writer.WriteDouble(4.0);
+  writer.WriteU64(buffered.size());
+  for (const Tuple& t : buffered) SaveTuple(&writer, t);
+  writer.WriteBool(!bucket_dims.empty());
+  writer.WriteU64(bucket_dims.size());
+  for (const uint64_t dims : bucket_dims) {
+    writer.WriteU64(dims);
+    for (uint64_t d = 0; d < dims; ++d) writer.WriteDouble(0.0);
+    for (uint64_t d = 0; d < dims; ++d) writer.WriteDouble(8.0);
+    writer.WriteDouble(1.0);
+  }
+  writer.WriteDouble(static_cast<double>(buffered.size()) +
+                     static_cast<double>(bucket_dims.size()));
+  return writer.TakeBytes();
+}
+
+/// Loads `bytes` into a two-column histogram already holding three
+/// rows, and checks a rejection left them in place.
+Status LoadMHist(const std::string& bytes) {
+  SynopsisPtr h = MakeMHist(TwoCol());
+  for (const int64_t a : {1, 5, 9}) h->Insert(Row({a, a}));
+  serde::Reader reader(bytes);
+  const Status status = h->LoadState(&reader);
+  if (!status.ok()) EXPECT_DOUBLE_EQ(h->TotalCount(), 3.0);
+  return status;
+}
+
+TEST(MHistLoadStateTest, RejectsBucketArityOtherThanSchema) {
+  for (const auto& dims : std::vector<std::vector<uint64_t>>{
+           {1}, {3}, {2, 1}, {0}}) {
+    const Status status = LoadMHist(MHistState(16, {}, dims));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+}
+
+TEST(MHistLoadStateTest, RejectsBufferedRowsThatDoNotFitTheSchema) {
+  for (const Tuple& row :
+       {Row({1}), Row({1, 2, 3}),
+        Tuple({Value::Int64(1), Value::String("x")})}) {
+    const Status status = LoadMHist(MHistState(16, {row}, {}));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+}
+
+TEST(MHistLoadStateTest, RejectsZeroBucketBudget) {
+  const Status status = LoadMHist(MHistState(0, {Row({1, 2})}, {}));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.ToString();
+}
+
+TEST(MHistLoadStateTest, PristineStateRoundTripsAndEstimates) {
+  SynopsisPtr h = MakeMHist(TwoCol());
+  const std::string bytes = MHistState(16, {}, {2, 2});
+  serde::Reader reader(bytes);
+  ASSERT_TRUE(h->LoadState(&reader).ok());
+  serde::Writer resaved;
+  h->SaveState(&resaved);
+  EXPECT_EQ(resaved.bytes(), bytes);
+  auto groups = h->EstimateGroups({0, 1}, {kCountOnlyColumn});
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  EXPECT_FALSE(groups->empty());
 }
 
 }  // namespace

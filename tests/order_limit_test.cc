@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/engine/engine.h"
 #include "src/rewrite/sql_emitter.h"
 #include "tests/test_util.h"
 
@@ -66,22 +65,19 @@ TEST(OrderLimitEngineTest, TopKPerWindow) {
   const std::string query =
       "SELECT a, COUNT(*) AS n FROM R GROUP BY a "
       "ORDER BY n DESC, a LIMIT 2 WINDOW R['1 second']";
-  auto engine =
-      engine::ContinuousQueryEngine::Make(catalog, query, config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   // Window 0: a=1 x5, a=2 x3, a=3 x1.
-  int i = 0;
+  std::vector<StreamEvent> events;
   auto push = [&](int64_t a, int copies) {
     for (int c = 0; c < copies; ++c) {
-      ASSERT_TRUE(
-          (*engine)->Push({"r", Row({a}, 0.1 + 1e-4 * i++)}).ok());
+      const double t = 0.1 + 1e-4 * static_cast<double>(events.size());
+      events.push_back({"r", Row({a}, t)});
     }
   };
   push(1, 5);
   push(2, 3);
   push(3, 1);
-  ASSERT_TRUE((*engine)->Finish().ok());
-  std::vector<WindowResult> results = (*engine)->TakeResults();
+  const std::vector<WindowResult> results =
+      testing::RunSolo(catalog, query, config, events).results;
   ASSERT_EQ(results.size(), 1u);
   const auto& rows = results[0].merged_rows;
   ASSERT_EQ(rows.size(), 2u);
@@ -97,18 +93,13 @@ TEST(OrderLimitEngineTest, TieBreaksAreStableAcrossKeys) {
   const std::string query =
       "SELECT a, COUNT(*) AS n FROM R GROUP BY a "
       "ORDER BY n DESC, a DESC WINDOW R['1 second']";
-  auto engine =
-      engine::ContinuousQueryEngine::Make(catalog, query, config);
-  ASSERT_TRUE(engine.ok());
+  std::vector<StreamEvent> events;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        (*engine)
-            ->Push({"r", Row({static_cast<int64_t>(i % 2 + 1)},
-                             0.1 + 1e-4 * i)})
-            .ok());
+    events.push_back(
+        {"r", Row({static_cast<int64_t>(i % 2 + 1)}, 0.1 + 1e-4 * i)});
   }
-  ASSERT_TRUE((*engine)->Finish().ok());
-  std::vector<WindowResult> results = (*engine)->TakeResults();
+  const std::vector<WindowResult> results =
+      testing::RunSolo(catalog, query, config, events).results;
   ASSERT_EQ(results.size(), 1u);
   ASSERT_EQ(results[0].merged_rows.size(), 2u);
   // Equal counts (2 each): secondary key a DESC puts 2 first.

@@ -16,10 +16,10 @@
 #include "src/catalog/catalog.h"
 #include "src/common/random.h"
 #include "src/common/string_util.h"
-#include "src/engine/engine.h"
 #include "src/exec/evaluator.h"
 #include "src/exec/relation.h"
 #include "src/plan/binder.h"
+#include "src/server/stream_server.h"
 #include "src/sql/parser.h"
 #include "tests/test_util.h"
 
@@ -200,28 +200,27 @@ TEST(PatternEvalEdge, MatchSpansPushBatchChunks) {
   const Catalog catalog = PatternCatalog();
   engine::EngineConfig config;
   config.queue_capacity = 64;
-  auto made = engine::ContinuousQueryEngine::Make(
-      catalog,
+  server::StreamServer server(catalog);
+  auto id = server.RegisterQuery(
       "SELECT * FROM e MATCH (v = 1 THEN v = 2) PARTITION BY key WITHIN "
       "'5 seconds' WINDOW e['10 seconds']",
       config);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-  std::unique_ptr<engine::ContinuousQueryEngine> engine =
-      std::move(made).value();
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   const std::vector<engine::StreamEvent> chunk1 = {
       {"e", testing::Row({5, 1, 0}, 1.0)},
       {"e", testing::Row({5, 0, 0}, 2.0)}};
   const std::vector<engine::StreamEvent> chunk2 = {
       {"e", testing::Row({5, 2, 0}, 3.0)}};
-  const Status push1 = engine->PushBatch(chunk1);
+  const Status push1 = server.PushBatch(chunk1);
   ASSERT_TRUE(push1.ok()) << push1.ToString();
-  const Status push2 = engine->PushBatch(chunk2);
+  const Status push2 = server.PushBatch(chunk2);
   ASSERT_TRUE(push2.ok()) << push2.ToString();
-  const Status finish = engine->Finish();
+  const Status finish = server.Finish();
   ASSERT_TRUE(finish.ok()) << finish.ToString();
 
-  const std::vector<engine::WindowResult> results = engine->TakeResults();
+  const std::vector<engine::WindowResult> results =
+      server.session(*id).TakeResults();
   ASSERT_EQ(results.size(), 1u);
   ASSERT_EQ(results[0].exact_rows.size(), 1u);
   const Tuple& row = results[0].exact_rows[0];

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/engine/engine.h"
 #include "src/exec/evaluator.h"
 #include "src/rewrite/differential.h"
 #include "src/sql/parser.h"
@@ -192,18 +191,13 @@ TEST_P(PropertyTest, EngineConservesTuplesAcrossStrategies) {
     engine::EngineConfig config;
     config.strategy = strategy;
     config.queue_capacity = 25;
-    auto engine = engine::ContinuousQueryEngine::Make(
-        catalog, "SELECT a, COUNT(*) AS n FROM R GROUP BY a", config);
-    ASSERT_TRUE(engine.ok());
-    for (const engine::StreamEvent& e : events) {
-      ASSERT_TRUE((*engine)->Push(e).ok());
-    }
-    ASSERT_TRUE((*engine)->Finish().ok());
-    const engine::EngineStats stats = (*engine)->StatsSnapshot().core;
+    const testing::SoloRun run = testing::RunSolo(
+        catalog, "SELECT a, COUNT(*) AS n FROM R GROUP BY a", config, events);
+    const engine::EngineStats& stats = run.stats;
     EXPECT_EQ(stats.tuples_ingested,
               stats.tuples_kept + stats.tuples_dropped)
         << triage::SheddingStrategyToString(strategy);
-    for (const engine::WindowResult& r : (*engine)->TakeResults()) {
+    for (const engine::WindowResult& r : run.results) {
       EXPECT_EQ(r.kept_tuples + r.dropped_tuples,
                 arrivals_per_window[r.window])
           << "strategy "

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
+#include "src/common/serde.h"
+#include "src/tuple/serde.h"
 #include "tests/test_util.h"
 
 namespace datatriage::synopsis {
@@ -136,6 +142,51 @@ TEST(ReservoirSampleTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(ga.ok());
   ASSERT_TRUE(gb.ok());
   EXPECT_EQ(ga->size(), gb->size());
+}
+
+// ---------------------------------------------------------------------
+// LoadState rejects restored rows that do not fit the schema, and
+// replaces nothing when it does. The states are written field by field
+// in SaveState's layout: capacity, seed, RNG engine, materialized flag,
+// tuples seen, then the (row, weight) pairs.
+
+std::string ReservoirState(const std::vector<Tuple>& rows) {
+  serde::Writer writer;
+  writer.WriteU64(8);
+  writer.WriteU64(1);
+  serde::SaveRngEngine(&writer, std::mt19937_64(1));
+  writer.WriteBool(false);
+  writer.WriteI64(static_cast<int64_t>(rows.size()));
+  writer.WriteU64(rows.size());
+  for (const Tuple& row : rows) {
+    SaveTuple(&writer, row);
+    writer.WriteDouble(1.0);
+  }
+  return writer.TakeBytes();
+}
+
+TEST(ReservoirSampleLoadStateTest, RejectsRowsThatDoNotFitTheSchema) {
+  for (const Tuple& row :
+       {Row({1, 2}), Row({}), Tuple({Value::String("x")})}) {
+    SynopsisPtr s = MakeReservoir(8);
+    s->Insert(Row({4}));
+    const std::string bytes = ReservoirState({Row({1}), row});
+    serde::Reader reader(bytes);
+    const Status status = s->LoadState(&reader);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_DOUBLE_EQ(s->EstimatePointCount(Row({4})), 1.0);
+  }
+}
+
+TEST(ReservoirSampleLoadStateTest, PristineStateRoundTrips) {
+  SynopsisPtr s = MakeReservoir(8);
+  const std::string bytes = ReservoirState({Row({1}), Row({2})});
+  serde::Reader reader(bytes);
+  ASSERT_TRUE(s->LoadState(&reader).ok());
+  serde::Writer resaved;
+  s->SaveState(&resaved);
+  EXPECT_EQ(resaved.bytes(), bytes);
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
 #include <gtest/gtest.h>
 
-#include "src/engine/engine.h"
 #include "src/metrics/ideal.h"
 #include "src/metrics/rms.h"
+#include "src/server/stream_server.h"
 #include "tests/test_util.h"
 
 namespace datatriage {
 namespace {
 
-using engine::ContinuousQueryEngine;
 using engine::EngineConfig;
 using engine::StreamEvent;
 using engine::WindowResult;
 using testing::PaperCatalog;
 using testing::Row;
+using testing::RunSolo;
+using testing::SoloRun;
 
 // ---------------------------------------------------------------------
 // Window arithmetic.
@@ -100,11 +101,13 @@ TEST(SlidingWindowSqlTest, BinderRejectsConflictingSlides) {
 TEST(SlidingWindowSqlTest, EngineRequiresUniformSlide) {
   Catalog catalog = PaperCatalog();
   EngineConfig config;
-  EXPECT_EQ(ContinuousQueryEngine::Make(
-                catalog,
-                "SELECT a FROM R, S WHERE R.a = S.b WINDOW "
-                "R['2 seconds', '1 second'], S['2 seconds', '2 seconds']",
-                config)
+  server::StreamServer server(catalog);
+  EXPECT_EQ(server
+                .RegisterQuery(
+                    "SELECT a FROM R, S WHERE R.a = S.b WINDOW "
+                    "R['2 seconds', '1 second'], S['2 seconds', "
+                    "'2 seconds']",
+                    config)
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
@@ -113,27 +116,6 @@ TEST(SlidingWindowSqlTest, EngineRequiresUniformSlide) {
 // ---------------------------------------------------------------------
 // Engine semantics.
 // ---------------------------------------------------------------------
-
-struct RunOutput {
-  std::vector<WindowResult> results;
-  engine::EngineStats stats;
-};
-
-RunOutput MustRun(const Catalog& catalog, const std::string& sql,
-                  EngineConfig config,
-                  const std::vector<StreamEvent>& events) {
-  auto engine = ContinuousQueryEngine::Make(catalog, sql, config);
-  DT_CHECK(engine.ok()) << engine.status().ToString();
-  for (const StreamEvent& e : events) {
-    Status s = (*engine)->Push(e);
-    DT_CHECK(s.ok()) << s.ToString();
-  }
-  DT_CHECK((*engine)->Finish().ok());
-  RunOutput out;
-  out.results = (*engine)->TakeResults();
-  out.stats = (*engine)->StatsSnapshot().core;
-  return out;
-}
 
 constexpr char kSlidingCountQuery[] =
     "SELECT a, COUNT(*) AS count FROM R GROUP BY a "
@@ -145,7 +127,7 @@ TEST(SlidingWindowEngineTest, TuplesCountInEveryCoveringWindow) {
   config.strategy = triage::SheddingStrategy::kDataTriage;
   // One tuple at t=2.5 covers windows 1 ([1,3)) and 2 ([2,4)).
   std::vector<StreamEvent> events = {{"r", Row({7}, 2.5)}};
-  RunOutput out = MustRun(catalog, kSlidingCountQuery, config, events);
+  SoloRun out = RunSolo(catalog, kSlidingCountQuery, config, events);
   std::map<WindowId, int64_t> counts;
   for (const WindowResult& r : out.results) {
     for (const Tuple& row : r.exact_rows) {
@@ -169,7 +151,7 @@ TEST(SlidingWindowEngineTest, UnderloadMatchesIdealExactly) {
   }
   EngineConfig config;
   config.strategy = triage::SheddingStrategy::kDataTriage;
-  RunOutput out = MustRun(catalog, kSlidingCountQuery, config, events);
+  SoloRun out = RunSolo(catalog, kSlidingCountQuery, config, events);
   EXPECT_EQ(out.stats.tuples_dropped, 0);
 
   plan::BoundQuery bound = testing::MustBind(kSlidingCountQuery, catalog);
@@ -197,7 +179,7 @@ TEST(SlidingWindowEngineTest, ExactSynopsisKeepsMergedLossless) {
   config.strategy = triage::SheddingStrategy::kDataTriage;
   config.queue_capacity = 40;
   config.synopsis.type = synopsis::SynopsisType::kExact;
-  RunOutput out = MustRun(catalog, kSlidingCountQuery, config, events);
+  SoloRun out = RunSolo(catalog, kSlidingCountQuery, config, events);
   EXPECT_GT(out.stats.tuples_dropped, 0);
 
   plan::BoundQuery bound = testing::MustBind(kSlidingCountQuery, catalog);
@@ -227,7 +209,7 @@ TEST(SlidingWindowEngineTest, KeptPlusDroppedCoversEachWindow) {
   EngineConfig config;
   config.strategy = triage::SheddingStrategy::kDataTriage;
   config.queue_capacity = 30;
-  RunOutput out = MustRun(catalog, kSlidingCountQuery, config, events);
+  SoloRun out = RunSolo(catalog, kSlidingCountQuery, config, events);
   for (const WindowResult& r : out.results) {
     EXPECT_EQ(r.kept_tuples + r.dropped_tuples,
               per_window_arrivals[r.window])
@@ -248,7 +230,7 @@ TEST(SlidingWindowEngineTest, HoppingWindowsSkipGapTuples) {
       {"r", Row({2}, 1.5)},   // gap
       {"r", Row({3}, 2.5)},   // window 1
   };
-  RunOutput out = MustRun(catalog, query, config, events);
+  SoloRun out = RunSolo(catalog, query, config, events);
   int64_t total = 0;
   for (const WindowResult& r : out.results) {
     for (const Tuple& row : r.exact_rows) {
@@ -280,7 +262,7 @@ TEST(SlidingWindowEngineTest, SlidingJoinUnderTriage) {
   config.strategy = triage::SheddingStrategy::kDataTriage;
   config.queue_capacity = 40;
   config.synopsis.grid.cell_width = 1.0;
-  RunOutput out = MustRun(catalog, query, config, events);
+  SoloRun out = RunSolo(catalog, query, config, events);
   EXPECT_GT(out.stats.tuples_dropped, 0);
   EXPECT_GE(out.results.size(), 2u);
   bool any_merged = false;

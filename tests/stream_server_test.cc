@@ -1,10 +1,9 @@
 // Tests for the multi-query StreamServer: N sessions co-hosted on one
 // shared ingest plane must produce per-query results, stats, metrics,
-// and traces byte-identical to N independent ContinuousQueryEngine runs
-// over the same event subsequences (the determinism contract of
-// DESIGN.md Sec. 10), plus the server-boundary behaviors the single
-// engine never had: interned-id pushes, unrouted arrivals, and
-// registration ordering.
+// and traces byte-identical to N solo servers, one query each, over the
+// same event subsequences (the determinism contract of DESIGN.md
+// Sec. 10), plus the server-boundary behaviors: interned-id pushes,
+// unrouted arrivals, and registration ordering.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "src/common/string_util.h"
-#include "src/engine/engine.h"
 #include "src/io/csv.h"
 #include "src/obs/export.h"
 #include "src/server/stream_server.h"
@@ -29,7 +27,6 @@
 namespace datatriage::server {
 namespace {
 
-using engine::ContinuousQueryEngine;
 using engine::EngineConfig;
 using engine::EngineStatsSnapshot;
 using engine::StreamEvent;
@@ -116,31 +113,35 @@ struct RunOutput {
   std::string metrics_json;
 };
 
-/// Runs `spec` on its own standalone engine over `events`, feeding only
-/// the events on streams the query reads (the wrapper rejects the rest
-/// with NotFound — exactly the subsequence a co-hosted session sees).
-/// `admit_from` time-filters the feed the way a mid-stream-registered
-/// session's admission horizon does.
+/// Moves out `session`'s results and normalizes its whole output.
+RunOutput Collect(QuerySession& session,
+                  const std::vector<std::string>& columns) {
+  RunOutput out;
+  out.results_csv = io::FormatResultsCsv(session.TakeResults(), columns);
+  out.snapshot = session.StatsSnapshot();
+  out.metrics_json = obs::MetricsJson(session.metrics(), &session.trace());
+  return out;
+}
+
+/// Runs `spec` as the only query of a solo server over `events`. Events
+/// on streams the query does not read are accepted and counted as
+/// unrouted, so the session sees exactly the subsequence a co-hosted
+/// session sees. `admit_from` time-filters the feed the way a
+/// mid-stream-registered session's admission horizon does.
 RunOutput RunStandaloneEvents(
     const Catalog& catalog, const QuerySpec& spec,
     std::span<const StreamEvent> events,
     VirtualTime admit_from = -std::numeric_limits<VirtualTime>::infinity()) {
-  auto engine = ContinuousQueryEngine::Make(catalog, spec.sql, spec.config);
-  DT_CHECK(engine.ok()) << engine.status().ToString();
+  StreamServer server(catalog);
+  auto id = server.RegisterQuery(spec.sql, spec.config);
+  DT_CHECK(id.ok()) << id.status().ToString();
   for (const StreamEvent& event : events) {
     if (event.tuple.timestamp() < admit_from) continue;
-    Status status = (*engine)->Push(event);
-    DT_CHECK(status.ok() || status.code() == StatusCode::kNotFound)
-        << status.ToString();
+    Status status = server.Push(event);
+    DT_CHECK(status.ok()) << status.ToString();
   }
-  DT_CHECK((*engine)->Finish().ok());
-  RunOutput out;
-  out.results_csv =
-      io::FormatResultsCsv((*engine)->TakeResults(), spec.columns);
-  out.snapshot = (*engine)->StatsSnapshot();
-  out.metrics_json =
-      obs::MetricsJson((*engine)->metrics(), &(*engine)->trace());
-  return out;
+  DT_CHECK(server.Finish().ok());
+  return Collect(server.session(*id), spec.columns);
 }
 
 RunOutput RunStandalone(const workload::Scenario& scenario,
@@ -371,30 +372,19 @@ TEST(StreamServerTest, MidStreamRegistrationAdmitsFromNextWindowBoundary) {
   ASSERT_TRUE(server.Finish().ok());
 
   // The determinism contract extends to mid-stream joiners: the late
-  // session is byte-identical to a standalone engine fed only the feed
-  // suffix from its admission horizon on.
-  auto engine = ContinuousQueryEngine::Make(scenario.catalog,
-                                            specs[1].sql, specs[1].config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  for (const StreamEvent& event : scenario.events) {
-    if (event.tuple.timestamp() < expected_horizon) continue;
-    Status status = (*engine)->Push(event);
-    ASSERT_TRUE(status.ok() || status.code() == StatusCode::kNotFound)
-        << status.ToString();
-  }
-  ASSERT_TRUE((*engine)->Finish().ok());
+  // session is byte-identical to a solo server fed only the feed suffix
+  // from its admission horizon on.
+  const RunOutput solo = RunStandaloneEvents(
+      scenario.catalog, specs[1], scenario.events, expected_horizon);
 
-  QuerySession& hosted = server.session(*late);
-  EXPECT_GT(hosted.StatsSnapshot().core.tuples_ingested, 0);
-  EXPECT_EQ(io::FormatResultsCsv(hosted.TakeResults(), specs[1].columns),
-            io::FormatResultsCsv((*engine)->TakeResults(),
-                                 specs[1].columns));
-  ExpectSnapshotsEqual(hosted.StatsSnapshot(), (*engine)->StatsSnapshot());
-  EXPECT_EQ(obs::MetricsJson(hosted.metrics(), &hosted.trace()),
-            obs::MetricsJson((*engine)->metrics(), &(*engine)->trace()));
+  const RunOutput hosted = Collect(server.session(*late), specs[1].columns);
+  EXPECT_GT(hosted.snapshot.core.tuples_ingested, 0);
+  EXPECT_EQ(hosted.results_csv, solo.results_csv);
+  ExpectSnapshotsEqual(hosted.snapshot, solo.snapshot);
+  EXPECT_EQ(hosted.metrics_json, solo.metrics_json);
 
   // Lifecycle counters land in the plane registry, scoped by session id,
-  // so per-session registries stay standalone-identical.
+  // so per-session registries stay solo-identical.
   const auto totals = server.server_metrics().CounterTotals();
   EXPECT_EQ(totals.at("session.0.lifecycle.registered"), 1);
   EXPECT_EQ(totals.count("session.0.lifecycle.registered_mid_stream"), 0u);
@@ -553,14 +543,7 @@ std::vector<RunOutput> RunHosted(const workload::Scenario& scenario,
 
   std::vector<RunOutput> outputs;
   for (size_t i = 0; i < specs.size(); ++i) {
-    QuerySession& session = server.session(ids[i]);
-    RunOutput out;
-    out.results_csv =
-        io::FormatResultsCsv(session.TakeResults(), specs[i].columns);
-    out.snapshot = session.StatsSnapshot();
-    out.metrics_json =
-        obs::MetricsJson(session.metrics(), &session.trace());
-    outputs.push_back(std::move(out));
+    outputs.push_back(Collect(server.session(ids[i]), specs[i].columns));
   }
   return outputs;
 }
@@ -653,7 +636,8 @@ TEST(ParallelEquivalence, WorkerCountsProduceByteIdenticalSessions) {
 
 TEST(ParallelEquivalence, ParallelSessionsMatchStandaloneEngines) {
   // Transitivity check done directly: a 4-worker co-hosted session must
-  // equal a standalone single-query engine, not just the serial server.
+  // equal a solo server running its query alone, not just the serial
+  // co-hosting server.
   const workload::Scenario scenario = OverloadScenario(3);
   const std::vector<QuerySpec> specs = HostedQueries(scenario);
 
@@ -852,29 +836,6 @@ TEST(StreamServerTest, PushBatchRejectsBadTimestampsAtomically) {
       2);
 }
 
-TEST(StreamServerTest, EnginePushBatchChecksMembershipUpFront) {
-  const workload::Scenario scenario = OverloadScenario();
-  const std::vector<QuerySpec> specs = HostedQueries(scenario);
-
-  // The single-query wrapper rejects a batch containing any stream the
-  // query does not read, before ingesting anything.
-  auto engine = ContinuousQueryEngine::Make(
-      scenario.catalog, specs[1].sql, specs[1].config);  // reads s only
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  std::vector<StreamEvent> batch = {{"s", Row({5, 7}, 0.1)},
-                                    {"r", Row({5}, 0.2)}};
-  Status status = (*engine)->PushBatch(batch);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kNotFound);
-  EXPECT_EQ((*engine)->StatsSnapshot().core.tuples_ingested, 0);
-
-  std::vector<StreamEvent> good = {{"s", Row({5, 7}, 0.1)},
-                                   {"s", Row({6, 8}, 0.2)}};
-  ASSERT_TRUE((*engine)->PushBatch(good).ok());
-  ASSERT_TRUE((*engine)->Finish().ok());
-  EXPECT_EQ((*engine)->StatsSnapshot().core.tuples_ingested, 2);
-}
-
 // --- Live lifecycle churn (DESIGN.md §14) -------------------------------
 
 /// Outputs of one churned run plus the horizons the churn induced.
@@ -923,14 +884,7 @@ ChurnRun RunChurned(const workload::Scenario& scenario,
   DT_CHECK(server.Finish().ok());
 
   for (size_t i = 0; i < specs.size(); ++i) {
-    QuerySession& session = server.session(ids[i]);
-    RunOutput out;
-    out.results_csv =
-        io::FormatResultsCsv(session.TakeResults(), specs[i].columns);
-    out.snapshot = session.StatsSnapshot();
-    out.metrics_json =
-        obs::MetricsJson(session.metrics(), &session.trace());
-    run.outputs.push_back(std::move(out));
+    run.outputs.push_back(Collect(server.session(ids[i]), specs[i].columns));
   }
   return run;
 }
@@ -963,7 +917,7 @@ TEST(ChurnEquivalence, ChurnedSessionsMatchStandaloneSubsequences) {
   ExpectRunOutputsEqual(churned.outputs[0],
                         RunStandalone(scenario, specs[0]));
 
-  // The unregistered session equals a standalone engine fed the prefix
+  // The unregistered session equals a solo server fed the prefix
   // up to the unregister point and then finished — unregister drained
   // its queues and emitted its in-flight windows.
   EXPECT_GT(churned.outputs[1].snapshot.core.windows_emitted, 0);
@@ -972,7 +926,7 @@ TEST(ChurnEquivalence, ChurnedSessionsMatchStandaloneSubsequences) {
       RunStandaloneEvents(scenario.catalog, specs[1],
                           events.subspan(0, 2 * third)));
 
-  // The mid-stream joiner equals a standalone engine fed the time-suffix
+  // The mid-stream joiner equals a solo server fed the time-suffix
   // from its admission horizon on.
   EXPECT_GT(churned.outputs[2].snapshot.core.tuples_ingested, 0);
   ExpectRunOutputsEqual(
@@ -1240,14 +1194,7 @@ std::vector<RunOutput> RunScheduled(const workload::Scenario& scenario,
   DT_CHECK(server.Finish().ok());
   std::vector<RunOutput> outputs;
   for (size_t i = 0; i < specs.size(); ++i) {
-    QuerySession& session = server.session(ids[i]);
-    RunOutput out;
-    out.results_csv =
-        io::FormatResultsCsv(session.TakeResults(), specs[i].columns);
-    out.snapshot = session.StatsSnapshot();
-    out.metrics_json =
-        obs::MetricsJson(session.metrics(), &session.trace());
-    outputs.push_back(std::move(out));
+    outputs.push_back(Collect(server.session(ids[i]), specs[i].columns));
   }
   return outputs;
 }
@@ -1327,7 +1274,7 @@ TEST(SkewedTenantEquivalence, QuiesceUnderStealingKeepsLifecycleExact) {
             clean_giant.results_csv);
   ExpectSnapshotsEqual(giant.StatsSnapshot(), clean_giant.snapshot);
 
-  // The retired tenant equals a standalone engine fed the prefix.
+  // The retired tenant equals a solo server fed the prefix.
   QuerySession& retired = server.session(ids[1]);
   const RunOutput clean_retired = RunStandaloneEvents(
       scenario.catalog, specs[1], events.subspan(0, half));

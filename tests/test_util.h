@@ -3,13 +3,17 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/catalog/catalog.h"
 #include "src/common/random.h"
+#include "src/engine/config.h"
+#include "src/engine/window_result.h"
 #include "src/exec/relation.h"
 #include "src/plan/binder.h"
+#include "src/server/stream_server.h"
 #include "src/sql/parser.h"
 #include "src/tuple/tuple.h"
 
@@ -54,6 +58,30 @@ inline plan::BoundQuery MustBind(const std::string& text,
   auto bound = plan::BindStatement(*stmt, catalog);
   DT_CHECK(bound.ok()) << bound.status().ToString();
   return std::move(bound).value();
+}
+
+/// What a one-query run leaves behind: its windows, in window order, and
+/// its run accounting.
+struct SoloRun {
+  std::vector<engine::WindowResult> results;
+  engine::EngineStats stats;
+};
+
+/// Registers `sql` as the only query of a serial StreamServer, pushes
+/// `events` as one batch, finishes, and collects the session's output.
+/// CHECK-fails on any error so tests stay terse.
+inline SoloRun RunSolo(const Catalog& catalog, const std::string& sql,
+                       const engine::EngineConfig& config,
+                       std::span<const engine::StreamEvent> events) {
+  server::StreamServer server(catalog);
+  auto id = server.RegisterQuery(sql, config);
+  DT_CHECK(id.ok()) << id.status().ToString();
+  const Status pushed = server.PushBatch(events);
+  DT_CHECK(pushed.ok()) << pushed.ToString();
+  const Status finished = server.Finish();
+  DT_CHECK(finished.ok()) << finished.ToString();
+  server::QuerySession& session = server.session(*id);
+  return {session.TakeResults(), session.StatsSnapshot().core};
 }
 
 /// Random relation of integer tuples with values uniform in [lo, hi].
